@@ -26,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import _newton
 from .data import Dataset
 from .design import BoundDesign, ModelMatrixSpec, bind
-from .errors import (ConvergenceError, NumericError, RankDeficiencyError,
-                     SeparationError, ValidationError)
+from .errors import RankDeficiencyError, SeparationError, ValidationError
 from .riskset import RiskStructure
 
 __all__ = ["QValues", "CoxFit", "fit_cox", "breslow_increments"]
@@ -70,7 +70,6 @@ class CoxFit:
     loglik: float
     max_score_norm: float
     n_iter: int
-    converged: bool
     event_times: np.ndarray
     increments: np.ndarray
 
@@ -128,9 +127,8 @@ def _unit_q(dataset: Dataset) -> QValues:
     return QValues(phi=0.0, values=np.ones(int(dataset.visit.sum())))
 
 
-def fit_cox(dataset: Dataset, zspec: ModelMatrixSpec, q: Optional[QValues] = None,
-            max_iter: int = 100, score_tol: float = 1e-8,
-            loglik_tol: float = 1e-10) -> CoxFit:
+def fit_cox(dataset: Dataset, zspec: ModelMatrixSpec,
+            q: Optional[QValues] = None) -> CoxFit:
     """Fit the visit-intensity model by damped Newton ascent.
 
     Parameters
@@ -143,65 +141,36 @@ def fit_cox(dataset: Dataset, zspec: ModelMatrixSpec, q: Optional[QValues] = Non
         Selection-adjustment factors per visit row; defaults to ones.
 
     Convergence requires the patient-normalized score max-norm to reach
-    ``score_tol``, or the relative objective change to fall below
-    ``loglik_tol`` after at least one step.  Divergence of a coefficient
-    and a rank-deficient information matrix raise distinct errors.
+    ``1e-8``.  Divergence of a coefficient and a rank-deficient
+    information matrix raise distinct errors.
     """
     if zspec.has_const():
         raise ValidationError("intensity model must not contain a constant term")
     q_arr = (q if q is not None else _unit_q(dataset)).check(int(dataset.visit.sum()))
     bound = bind(dataset, zspec, "at_risk")
     pl = _PartialLikelihood(dataset, bound, q_arr)
-    p = len(zspec)
-    gamma = np.zeros(p)
+    gamma = np.zeros(len(zspec))
 
-    if p == 0:
+    if len(zspec) == 0:
         inc = pl.breslow(gamma)
         return CoxFit(gamma, zspec.names, zspec, float(pl.at(gamma, False)[0]), 0.0,
-                      0, True, pl.rs.event_times.copy(), inc)
+                      0, pl.rs.event_times.copy(), inc)
 
-    loglik, score, hessian = pl.at(gamma)
-    _check_information(hessian)
-    n_iter = 0
-    while True:
-        norm = float(np.max(np.abs(score)))
-        if norm <= score_tol:
-            break
-        if n_iter >= max_iter:
-            raise ConvergenceError(
-                f"visit-intensity fit: no convergence in {max_iter} iterations "
-                f"(score max-norm {norm:.3g})")
-        step = _solve_newton_step(hessian, score)
-        accepted = False
-        for _ in range(30):
-            cand = gamma + step
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    new_loglik, new_score, new_hessian = pl.at(cand)
-            except (FloatingPointError, NumericError):
-                # overflow along the trial step (a risk-set sum that is
-                # subnormal under the global shift, say): reject the step
-                new_loglik = -np.inf
-            if np.isfinite(new_loglik) and new_loglik >= loglik - 1e-14 * (abs(loglik) + 1.0):
-                accepted = True
-                break
-            step = step / 2.0
-        if not accepted:
-            raise ConvergenceError("visit-intensity fit: step halving failed")
-        rel_change = abs(new_loglik - loglik) / (abs(loglik) + 1.0)
-        gamma, loglik, score, hessian = cand, new_loglik, new_score, new_hessian
-        n_iter += 1
-        if float(np.max(np.abs(gamma))) > DIVERGENCE_BOUND:
-            if float(np.max(np.abs(score))) > score_tol:
-                raise SeparationError(
-                    "visit-intensity fit: a coefficient diverges; the partial "
-                    "likelihood appears monotone (perfect separation of visits)")
-        if rel_change <= loglik_tol:
-            break
+    def check(gamma, score, hessian, k):
+        if k == 0:
+            _check_information(hessian)
+        elif (float(np.max(np.abs(gamma))) > DIVERGENCE_BOUND
+              and float(np.max(np.abs(score))) > _newton.TOL):
+            raise SeparationError(
+                "visit-intensity fit: a coefficient diverges; the partial "
+                "likelihood appears monotone (perfect separation of visits)")
 
+    gamma, loglik, score, n_iter = _newton.maximize(
+        pl.at, gamma, "visit-intensity fit",
+        "visit-intensity fit: information matrix is not positive definite", check)
     norm = float(np.max(np.abs(score)))
     inc = pl.breslow(gamma)
-    return CoxFit(gamma, zspec.names, zspec, float(loglik), norm, n_iter, True,
+    return CoxFit(gamma, zspec.names, zspec, float(loglik), norm, n_iter,
                   pl.rs.event_times.copy(), inc)
 
 
@@ -211,16 +180,6 @@ def _check_information(hessian: np.ndarray) -> None:
         raise RankDeficiencyError(
             "visit-intensity fit: information matrix is rank deficient "
             "(collinear or degenerate covariates)")
-
-
-def _solve_newton_step(hessian: np.ndarray, score: np.ndarray) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(hessian)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError(
-            "visit-intensity fit: information matrix is not positive definite") from None
-    w = np.linalg.solve(chol, score)
-    return np.linalg.solve(chol.T, w)
 
 
 def breslow_increments(cox: CoxFit, dataset: Dataset, q: Optional[QValues] = None):

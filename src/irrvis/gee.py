@@ -10,8 +10,8 @@ weights carry the visit-process correction; the equations are homogeneous
 in them, so their scale is irrelevant.
 
 Identity link with constant variance reduces to weighted least squares and
-is solved in closed form.  Other combinations use Fisher scoring with step
-halving on the equation norm.
+is solved in closed form.  Other combinations use Fisher scoring, damped
+so that no step raises the max-norm of the equations.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
+from ._newton import maximize, solve_psd
 from .data import Dataset
 from .design import ModelMatrixSpec, bind
-from .errors import (ConvergenceError, NumericError, RankDeficiencyError,
-                     ValidationError)
+from .errors import NumericError, ValidationError
 
 __all__ = ["MarginalModelSpec", "GeeFit", "fit_weighted_gee", "estimate_dispersion"]
 
@@ -63,7 +63,6 @@ class GeeFit:
     link: str
     variance: str
     n_iter: int
-    converged: bool
     max_eq_norm: float
     fitted_means: np.ndarray
 
@@ -96,22 +95,14 @@ def _variance_fn(model: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
     return mu + model.theta * mu * mu
 
 
-def _solve_psd(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError(f"{context}: design is rank deficient") from None
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
-
-
-def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec, weights=None,
-                     max_iter: int = 200, tol: float = 1e-8) -> GeeFit:
+def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec,
+                     weights=None) -> GeeFit:
     """Fit the marginal model on visit rows with the given visit weights.
 
     ``weights`` may be a :class:`~irrvis.weights.WeightSet` or a plain
     array, one entry per visit row; defaults to ones.  Convergence is
     declared when the patient-normalized estimating equation max-norm
-    reaches ``tol``.
+    reaches ``1e-8``.
     """
     x, y, w = _prepare(dataset, model, weights)
     n = dataset.n_patients
@@ -119,10 +110,10 @@ def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec, weights=None,
 
     if model.link == "identity" and model.variance == "constant":
         xtw = x.T * w
-        beta = _solve_psd(xtw @ x, xtw @ y, "least squares")
+        beta = solve_psd(xtw @ x, xtw @ y, "least squares: design is rank deficient")
         mu = x @ beta
         norm = float(np.max(np.abs(x.T @ (w * (y - mu)) / n)))
-        return GeeFit(beta, names, model.link, model.variance, 1, True, norm, mu)
+        return GeeFit(beta, names, model.link, model.variance, 1, norm, mu)
 
     def mean_and_slope(eta):
         if model.link == "identity":
@@ -140,7 +131,7 @@ def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec, weights=None,
         r = w * slope * (y - mu) / v
         u = x.T @ r / n
         info = (x.T * (w * slope * slope / v)) @ x / n
-        return u, info
+        return -float(np.max(np.abs(u))), u, info
 
     beta = np.zeros(len(model.xspec))
     if model.link == "log":
@@ -151,36 +142,12 @@ def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec, weights=None,
             j = [t.kind for t in model.xspec.terms].index("const")
             beta[j] = np.log(ybar)
 
-    u, info = equation(beta)
-    norm = float(np.max(np.abs(u)))
-    n_iter = 0
-    while norm > tol:
-        if n_iter >= max_iter:
-            raise ConvergenceError(
-                f"marginal fit: no convergence in {max_iter} iterations "
-                f"(equation max-norm {norm:.3g})")
-        step = _solve_psd(info, u, "marginal fit")
-        accepted = False
-        for _ in range(30):
-            cand = beta + step
-            try:
-                cand_u, cand_info = equation(cand)
-                cand_norm = float(np.max(np.abs(cand_u)))
-            except (FloatingPointError, NumericError):
-                cand_norm = np.inf
-            if np.isfinite(cand_norm) and cand_norm < norm:
-                accepted = True
-                break
-            step = step / 2.0
-        if not accepted:
-            raise ConvergenceError("marginal fit: step halving failed")
-        beta, u, info, norm = cand, cand_u, cand_info, cand_norm
-        n_iter += 1
-
+    beta, merit, _, n_iter = maximize(equation, beta, "marginal fit",
+                                      "marginal fit: design is rank deficient")
     eta = x @ beta
     mu = np.exp(eta) if model.link == "log" else eta
-    return GeeFit(beta, names, model.link, model.variance, max(n_iter, 1), True,
-                  norm, mu)
+    return GeeFit(beta, names, model.link, model.variance, max(n_iter, 1),
+                  -merit, mu)
 
 
 def estimate_dispersion(fit: GeeFit, dataset: Dataset, weights=None) -> float:

@@ -231,7 +231,7 @@ class SweepResult:
         return np.array([r["estimate"] for r in self.rows if r["term"] == term])
 
 
-def _weight_summary(wset: Optional[WeightSet], n_visit_rows: int):
+def _weight_summary(wset: Optional[WeightSet]):
     if wset is None:
         # unweighted analysis: every visit row counts once
         return 1.0, 1.0, 1.0
@@ -246,7 +246,6 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
     does not disturb the other grid points.
     """
     names = tuple(config.model.xspec.names)
-    n_visits = int(dataset.visit.sum())
     rows = []
     for phi in config.phi_grid:
         try:
@@ -266,7 +265,7 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
                                  weight_median=nan, weight_max=nan,
                                  converged=False))
             continue
-        w_min, w_med, w_max = _weight_summary(wset, n_visits)
+        w_min, w_med, w_max = _weight_summary(wset)
         for j, term in enumerate(names):
             est = float(fit.beta[j])
             se_j = float(se[j])

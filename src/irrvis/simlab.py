@@ -32,10 +32,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._newton import maximize
 from .cox import fit_cox
 from .data import Dataset
 from .design import ModelMatrixSpec
-from .errors import ConvergenceError, IrrvisError, NumericError, ValidationError
+from .errors import IrrvisError, NumericError, ValidationError
 from .gee import MarginalModelSpec, fit_weighted_gee
 from .rng import substream
 from .weights import SelectionSpec, balancing_weights, mle_weights, q_values
@@ -51,8 +52,10 @@ SCENARIOS = ("s1_noSF_correctZ", "s2_noSF_transformedZ",
              "s3_SF_correctZ", "s4_SF_transformedZ")
 ESTIMATORS = ("complete", "naive", "mle", "balancing")
 
-# marginal regression truths: coefficients of X and t
-TRUE_BETA = {"continuous": (-4.5, -0.5), "count": (-1.0, -0.5)}
+# marginal regression truths: coefficients of X and t; the count outcome's
+# X coefficient is 0.67 plus log E[exp(z1 + z2 - z1 z2 / 2)] at x = 1 minus
+# that at x = 0, which is -5/3 for z ~ N(-x, I)
+TRUE_BETA = {"continuous": (-4.5, -0.5), "count": (0.67 - 5.0 / 3.0, -0.5)}
 
 # stream indices far above any replicate index
 _LIMITING_STREAM_BASE = 1 << 32
@@ -204,9 +207,9 @@ def _limiting_design(cfg: ScenarioConfig, n_large: int,
     return design, visit
 
 
-def _fit_grid_cox(design: np.ndarray, visit: np.ndarray, max_iter: int = 100,
-                  tol: float = 1e-8, row_chunk: int = 4_000_000) -> np.ndarray:
-    """Newton solver for an unweighted proportional-intensity fit on grid data.
+def _fit_grid_cox(design: np.ndarray, visit: np.ndarray,
+                  row_chunk: int = 4_000_000) -> np.ndarray:
+    """Unweighted proportional-intensity fit on grid data.
 
     Specialized to the simulated layout: every row is at risk, rows cycle
     through the grid, each row covers exactly its own grid time.  Streams
@@ -259,25 +262,10 @@ def _fit_grid_cox(design: np.ndarray, visit: np.ndarray, max_iter: int = 100,
         hessian = (hessian - (mean * a[:, None]).T @ mean) / n
         return loglik, score, hessian
 
-    gamma = np.zeros(p)
-    loglik, score, hessian = evaluate(gamma)
-    for _ in range(max_iter):
-        if float(np.max(np.abs(score))) <= tol:
-            return gamma
-        step = np.linalg.solve(hessian, score)
-        for _ in range(30):
-            cand = gamma + step
-            try:
-                new_loglik, new_score, new_hessian = evaluate(cand)
-            except NumericError:
-                new_loglik = -np.inf
-            if np.isfinite(new_loglik) and new_loglik >= loglik - 1e-14 * (abs(loglik) + 1):
-                break
-            step = step / 2.0
-        else:
-            raise ConvergenceError("limiting fit: step halving failed")
-        gamma, loglik, score, hessian = cand, new_loglik, new_score, new_hessian
-    raise ConvergenceError("limiting fit: no convergence")
+    gamma, _, _, _ = maximize(
+        evaluate, np.zeros(p), "limiting fit",
+        "limiting fit: information matrix is not positive definite")
+    return gamma
 
 
 def limiting_phi(cfg: ScenarioConfig, n_large: int = 100_000,

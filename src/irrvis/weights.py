@@ -28,11 +28,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._newton import maximize
 from .cox import CoxFit, QValues
 from .data import Dataset
 from .design import ModelMatrixSpec, bind
-from .errors import (ConvergenceError, NumericError, RankDeficiencyError,
-                     ValidationError)
+from .errors import NumericError, ValidationError
 from .riskset import RiskStructure
 
 __all__ = ["SelectionSpec", "BalanceSpec", "WeightSet", "q_values",
@@ -69,12 +69,9 @@ class SelectionSpec:
 
 @dataclass(frozen=True)
 class BalanceSpec:
-    """Balance terms plus solver controls for :func:`balancing_weights`."""
+    """Balance terms for :func:`balancing_weights`."""
 
     hspec: ModelMatrixSpec
-    tol: float = 1e-8
-    max_iter: int = 100
-    n_restarts: int = 20
 
     def __post_init__(self):
         if not self.hspec.has_const():
@@ -162,45 +159,13 @@ class _BalanceSystem:
     def residual(self, w: np.ndarray) -> np.ndarray:
         return (self.h_visit.T @ w - self.target) / self.n
 
-    def objective(self, gamma: np.ndarray) -> float:
-        with np.errstate(over="ignore"):
-            return float((np.exp(self.h_visit @ gamma) @ self.q
-                          - gamma @ self.target) / self.n)
-
-    def jacobian(self, w: np.ndarray) -> np.ndarray:
-        return (self.h_visit * w[:, None]).T @ self.h_visit / self.n
-
-
-def _newton_balance(system: _BalanceSystem, start: np.ndarray, tol: float,
-                    max_iter: int):
-    gamma = start.copy()
-    obj = system.objective(gamma)
-    if not np.isfinite(obj):
-        raise ConvergenceError("balance solve: objective not finite at start")
-    for _ in range(max_iter):
-        w = system.weights_at(gamma)
-        res = system.residual(w)
-        if float(np.max(np.abs(res))) <= tol:
-            return gamma, w, res
-        jac = system.jacobian(w)
-        try:
-            chol = np.linalg.cholesky(jac)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "balance solve: singular Jacobian (collinear balance terms)") from None
-        step = -np.linalg.solve(chol.T, np.linalg.solve(chol, res))
-        accepted = False
-        for _ in range(40):
-            cand = gamma + step
-            cand_obj = system.objective(cand)
-            if np.isfinite(cand_obj) and cand_obj <= obj + 1e-14 * (abs(obj) + 1.0):
-                accepted = True
-                break
-            step = step / 2.0
-        if not accepted:
-            raise ConvergenceError("balance solve: step halving failed")
-        gamma, obj = cand, cand_obj
-    raise ConvergenceError(f"balance solve: no convergence in {max_iter} iterations")
+    def evaluate(self, gamma: np.ndarray):
+        """Merit ``-c(gamma)``, the negated residual and the Jacobian."""
+        e = np.exp(self.h_visit @ gamma)
+        w = e * self.q
+        objective = float((e @ self.q - gamma @ self.target) / self.n)
+        jacobian = (self.h_visit * w[:, None]).T @ self.h_visit / self.n
+        return -objective, -self.residual(w), jacobian
 
 
 def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec],
@@ -216,8 +181,8 @@ def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec
     breslow : CoxFit or (event_times, increments)
         Baseline increments of the visit process, computed with the same q.
 
-    Starts at zero; on failure retries from random starts drawn from a
-    fixed internal stream, so results stay deterministic.
+    Solved by damped Newton descent on the convex dual objective,
+    starting from zero.
     """
     if isinstance(spec, ModelMatrixSpec):
         spec = BalanceSpec(hspec=spec)
@@ -236,26 +201,14 @@ def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec
         system.h_visit = system.h_visit[:, keep]
         system.target = system.target[keep]
         names = [n for n, k in zip(names, keep) if k]
-    p = len(names)
-    starts = [np.zeros(p)]
-    rng = np.random.Generator(np.random.Philox(key=np.array([2166136261, 0],
-                                                            dtype=np.uint64)))
-    starts.extend(rng.uniform(-0.5, 0.5, size=p) for _ in range(spec.n_restarts))
-    last_error: Optional[Exception] = None
-    for start in starts:
-        try:
-            gamma, w, res = _newton_balance(system, start, spec.tol, spec.max_iter)
-        except RankDeficiencyError:
-            raise
-        except (ConvergenceError, NumericError) as exc:
-            last_error = exc
-            continue
-        return WeightSet(kind="balancing", weights=w, gamma=gamma,
-                         names=tuple(names), phi=q.phi,
-                         balance_residuals=res,
-                         max_abs_residual=float(np.max(np.abs(res))))
-    raise ConvergenceError(
-        f"balance solve: failed from {len(starts)} starts: {last_error}")
+    gamma, _, _, _ = maximize(
+        system.evaluate, np.zeros(len(names)), "balance solve",
+        "balance solve: singular Jacobian (collinear balance terms)")
+    w = system.weights_at(gamma)
+    res = system.residual(w)
+    return WeightSet(kind="balancing", weights=w, gamma=gamma, names=tuple(names),
+                     phi=q.phi, balance_residuals=res,
+                     max_abs_residual=float(np.max(np.abs(res))))
 
 
 def balance_report(dataset: Dataset, hspec: ModelMatrixSpec, weights, breslow,

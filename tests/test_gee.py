@@ -47,7 +47,6 @@ def test_identity_intercept_is_sample_mean():
     ds = outcome_panel([1.0, 4.0, 7.0])
     fit = fit_weighted_gee(ds, identity_model())
     assert np.allclose(fit.beta, [4.0])
-    assert fit.converged
 
 
 def test_log_intercept_is_log_mean():

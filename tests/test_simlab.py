@@ -4,7 +4,7 @@ from scipy import stats
 
 from irrvis import (MetricsTable, ScenarioConfig, ValidationError,
                     complete_data_fit, generate, limiting_phi, run_study)
-from irrvis.simlab import GRID_TIMES, TAU, _weight_phi
+from irrvis.simlab import GRID_TIMES, TAU, TRUE_BETA, _weight_phi
 
 
 def cont_cfg(**kw):
@@ -122,6 +122,23 @@ def test_count_outcome_marginal_distribution():
     v = np.random.default_rng(99).random(y.size)
     pit = stats.nbinom.cdf(y - 1, 2, p) + v * stats.nbinom.pmf(y, 2, p)
     assert stats.kstest(pit, "uniform").pvalue > 1e-4
+
+
+def test_count_truth_is_the_generators_marginal_law():
+    # E[Y | x, t] = E_z exp(1.69 + z1 + z2 - z1 z2 / 2 + 0.67 x - 0.5 t) with
+    # z ~ N(-x, I), by 2-D Gauss-Hermite quadrature; the marginal mean is
+    # log-linear in binary x and in t, so two differences give the truth
+    u, w = np.polynomial.hermite_e.hermegauss(40)
+    w = w / np.sqrt(2.0 * np.pi)
+
+    def log_mean(x, t):
+        z1, z2 = -x + u[:, None], -x + u[None, :]
+        mu = np.exp(1.69 + z1 + z2 - 0.5 * z1 * z2 + 0.67 * x - 0.5 * t)
+        return np.log(w @ mu @ w)
+
+    beta_x = log_mean(1.0, 2.0) - log_mean(0.0, 2.0)
+    beta_t = (log_mean(1.0, 3.0) - log_mean(1.0, 1.0)) / 2.0
+    assert TRUE_BETA["count"] == pytest.approx((beta_x, beta_t), rel=1e-12)
 
 
 def test_first_interval_visit_rate_matches_formula():

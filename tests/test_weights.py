@@ -83,7 +83,7 @@ def test_log_two_gamma_halves_weight():
     ds = Dataset.from_rows(rows, tau=4.0)
     cox = CoxFit(gamma=np.array([np.log(2.0)]), names=("z",),
                  spec=ModelMatrixSpec(["z"]), loglik=0.0, max_score_norm=0.0,
-                 n_iter=0, converged=True, event_times=np.array([1.0]),
+                 n_iter=0, event_times=np.array([1.0]),
                  increments=np.array([0.5]))
     ws = mle_weights(cox, ds, q_values(ds, SelectionSpec(), 0.0))
     assert np.allclose(ws.weights, [0.5])
