@@ -15,9 +15,9 @@ from .calibration import (CalibrationResult, calibrate, implicit_r2,
 from .cox import CoxFit, QValues, breslow_increments, fit_cox
 from .data import CountingProcessRow, Dataset, export_csv, load_csv
 from .design import ModelMatrixSpec, build_design, parse_term
-from .errors import (ConvergenceError, IrrvisError, NumericError,
-                     PipelineError, RankDeficiencyError, SeparationError,
-                     ValidationError)
+from .errors import (BalanceInfeasibleError, ConvergenceError, IrrvisError,
+                     NumericError, PipelineError, RankDeficiencyError,
+                     SeparationError, ValidationError)
 from .gee import GeeFit, MarginalModelSpec, estimate_dispersion, fit_weighted_gee
 from .inference import (AnalysisConfig, Resampling, SweepResult, analyze_once,
                         bootstrap, jackknife, sweep)
@@ -30,7 +30,8 @@ from .weights import (BalanceSpec, SelectionSpec, WeightSet, balance_report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "BalanceSpec", "CalibrationResult", "ConvergenceError",
+    "AnalysisConfig", "BalanceInfeasibleError", "BalanceSpec",
+    "CalibrationResult", "ConvergenceError",
     "CountingProcessRow", "CoxFit", "Dataset", "GeeFit", "IrrvisError",
     "MarginalModelSpec", "MetricsTable", "ModelMatrixSpec", "NumericError",
     "PipelineError", "QValues", "RankDeficiencyError", "ScenarioConfig",

@@ -44,6 +44,15 @@ def solve_psd(a: np.ndarray, b: np.ndarray, message: str) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
+def is_positive_definite(a: np.ndarray) -> bool:
+    """Whether ``a`` has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def maximize(evaluate, x: np.ndarray, context: str, singular: str, check=None):
     """Damped Newton ascent from ``x``; returns ``(x, f, g, n_iter)``.
 

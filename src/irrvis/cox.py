@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _newton
 from .data import Dataset
-from .design import BoundDesign, ModelMatrixSpec, bind
+from .design import ModelMatrixSpec, bind
 from .errors import RankDeficiencyError, SeparationError, ValidationError
 from .riskset import RiskStructure
 
@@ -82,17 +82,21 @@ class CoxFit:
 
 
 class _PartialLikelihood:
-    """Objective, score and information for one (dataset, design, Q)."""
+    """Objective, score and information for one risk structure, design and Q.
 
-    def __init__(self, dataset: Dataset, bound: BoundDesign, q: np.ndarray,
-                 structure: Optional[RiskStructure] = None):
-        self.rs = structure if structure is not None else RiskStructure(dataset)
-        self.z_cover = bound.evaluate(dataset, self.rs.cover_row, self.rs.cover_times())
-        self.z_visit = bound.evaluate(dataset, self.rs.visit_rows)
+    ``z_cover`` holds the design on the structure's incidence pairs and
+    ``z_visit`` on its visit rows.
+    """
+
+    def __init__(self, rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
+                 q: np.ndarray):
+        self.rs = rs
+        self.z_cover = z_cover
+        self.z_visit = z_visit
         self.q = q
-        self.a = self.rs.pooled_visit_sum(q)                     # A_k
-        self.visit_score = q @ self.z_visit                      # sum_v Q z
-        self.n = self.rs.n
+        self.a = rs.pooled_visit_sum(q)                          # A_k
+        self.visit_score = q @ z_visit                           # sum_v Q z
+        self.n = rs.n
 
     def at(self, gamma: np.ndarray, need_hessian: bool = True):
         eta_c = self.z_cover @ gamma
@@ -144,17 +148,25 @@ def fit_cox(dataset: Dataset, zspec: ModelMatrixSpec,
     ``1e-8``.  Divergence of a coefficient and a rank-deficient
     information matrix raise distinct errors.
     """
-    if zspec.has_const():
-        raise ValidationError("intensity model must not contain a constant term")
     q_arr = (q if q is not None else _unit_q(dataset)).check(int(dataset.visit.sum()))
     bound = bind(dataset, zspec, "at_risk")
-    pl = _PartialLikelihood(dataset, bound, q_arr)
+    rs = RiskStructure(dataset)
+    return _fit(rs, *rs.design(bound, dataset), zspec, q_arr)
+
+
+def _fit(rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
+         zspec: ModelMatrixSpec, q: np.ndarray) -> CoxFit:
+    """:func:`fit_cox` on a risk structure and the design on its pairs and
+    visit rows."""
+    if zspec.has_const():
+        raise ValidationError("intensity model must not contain a constant term")
+    pl = _PartialLikelihood(rs, z_cover, z_visit, q)
     gamma = np.zeros(len(zspec))
 
     if len(zspec) == 0:
         inc = pl.breslow(gamma)
         return CoxFit(gamma, zspec.names, zspec, float(pl.at(gamma, False)[0]), 0.0,
-                      0, pl.rs.event_times.copy(), inc)
+                      0, rs.event_times.copy(), inc)
 
     def check(gamma, score, hessian, k):
         if k == 0:
@@ -171,7 +183,7 @@ def fit_cox(dataset: Dataset, zspec: ModelMatrixSpec,
     norm = float(np.max(np.abs(score)))
     inc = pl.breslow(gamma)
     return CoxFit(gamma, zspec.names, zspec, float(loglik), norm, n_iter,
-                  pl.rs.event_times.copy(), inc)
+                  rs.event_times.copy(), inc)
 
 
 def _check_information(hessian: np.ndarray) -> None:
@@ -189,5 +201,6 @@ def breslow_increments(cox: CoxFit, dataset: Dataset, q: Optional[QValues] = Non
     """
     q_arr = (q if q is not None else _unit_q(dataset)).check(int(dataset.visit.sum()))
     bound = bind(dataset, cox.spec, "at_risk")
-    pl = _PartialLikelihood(dataset, bound, q_arr)
-    return pl.rs.event_times.copy(), pl.breslow(cox.gamma)
+    rs = RiskStructure(dataset)
+    pl = _PartialLikelihood(rs, *rs.design(bound, dataset), q_arr)
+    return rs.event_times.copy(), pl.breslow(cox.gamma)

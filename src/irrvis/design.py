@@ -195,11 +195,16 @@ def _raw_factor(dataset: Dataset, f: Term, rows: np.ndarray, times: np.ndarray) 
 class BoundDesign:
     """A spec bound to a dataset, with standardization statistics frozen."""
 
-    def __init__(self, dataset: Dataset, spec: ModelMatrixSpec, subset: str = "at_risk"):
+    def __init__(self, dataset: Dataset, spec: ModelMatrixSpec, subset: str = "at_risk",
+                 rows: Optional[np.ndarray] = None):
+        """Bind on the rows ``subset`` names, or on ``rows`` when given
+        (row indices of ``dataset``, possibly repeated, standing for that
+        subset of a dataset made from them)."""
         self.spec = spec
         self.names = spec.names
         self._stats: dict = {}
-        rows = _subset_rows(dataset, subset)
+        if rows is None:
+            rows = _subset_rows(dataset, subset)
         if rows.size == 0:
             raise ValidationError(f"subset {subset!r} selects no rows")
         times = dataset.end[rows]
@@ -216,6 +221,11 @@ class BoundDesign:
                         f"term {f.label()!r} is constant on the binding subset; "
                         "cannot standardize")
                 self._stats[f] = (mean, sd)
+
+    @property
+    def standardizes(self) -> bool:
+        """Whether the frozen map depends on the binding rows."""
+        return bool(self._stats)
 
     def _factor_values(self, dataset, f, rows, times):
         v = _raw_factor(dataset, f, rows, times)

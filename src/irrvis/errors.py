@@ -30,6 +30,10 @@ class RankDeficiencyError(NumericError):
     """Design matrix (or a derived system) is numerically rank deficient."""
 
 
+class BalanceInfeasibleError(NumericError):
+    """The balance conditions have no solution: the dual solve diverges."""
+
+
 class PipelineError(NumericError):
     """Failure inside a multi-stage analysis, tagged with stage and phi.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._newton import maximize, solve_psd
 from .data import Dataset
-from .design import ModelMatrixSpec, bind
+from .design import BoundDesign, ModelMatrixSpec
 from .errors import NumericError, ValidationError
 
 __all__ = ["MarginalModelSpec", "GeeFit", "fit_weighted_gee", "estimate_dispersion"]
@@ -67,24 +67,11 @@ class GeeFit:
     fitted_means: np.ndarray
 
 
-def _prepare(dataset: Dataset, model: MarginalModelSpec, weights):
-    visit_rows = dataset.visit_row_indices()
-    if visit_rows.size == 0:
+def _bind(dataset: Dataset, model: MarginalModelSpec, rows: np.ndarray) -> BoundDesign:
+    """The marginal design bound on visit ``rows`` of ``dataset``."""
+    if rows.size == 0:
         raise ValidationError("dataset has no visit rows to fit on")
-    bound = bind(dataset, model.xspec, "visits")
-    x = bound.evaluate(dataset, visit_rows)
-    y = dataset.outcome[visit_rows]
-    if weights is None:
-        w = np.ones(visit_rows.size)
-    else:
-        w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
-        if w.shape != (visit_rows.size,):
-            raise ValidationError("weights must have one entry per visit row")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be non-negative and finite")
-        if not np.any(w > 0.0):
-            raise ValidationError("all weights are zero")
-    return x, y, w
+    return BoundDesign(dataset, model.xspec, "visits", rows)
 
 
 def _variance_fn(model: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
@@ -104,8 +91,25 @@ def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec,
     declared when the patient-normalized estimating equation max-norm
     reaches ``1e-8``.
     """
-    x, y, w = _prepare(dataset, model, weights)
-    n = dataset.n_patients
+    visit_rows = dataset.visit_row_indices()
+    x = _bind(dataset, model, visit_rows).evaluate(dataset, visit_rows)
+    return _fit(x, dataset.outcome[visit_rows], weights, model, dataset.n_patients)
+
+
+def _fit(x: np.ndarray, y: np.ndarray, weights, model: MarginalModelSpec,
+         n: int) -> GeeFit:
+    """:func:`fit_weighted_gee` on the design and outcomes of the visit rows
+    of ``n`` patients."""
+    if weights is None:
+        w = np.ones(y.size)
+    else:
+        w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
+        if w.shape != y.shape:
+            raise ValidationError("weights must have one entry per visit row")
+        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be non-negative and finite")
+        if not np.any(w > 0.0):
+            raise ValidationError("all weights are zero")
     names = tuple(model.xspec.names)
 
     if model.link == "identity" and model.variance == "constant":

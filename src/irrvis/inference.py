@@ -6,6 +6,17 @@ sweep repeats it over a phi grid, isolating failures per grid point, and
 attaches standard errors from leave-one-patient-out jackknife or a
 patient-level bootstrap.  Confidence intervals in sweep output are always
 normal-theory, estimate +/- 1.96 * SE.
+
+A resample is a list of patient indices and is analysed exactly as
+``analyze_once`` would analyse ``dataset.take_patients`` of it, bit for
+bit, without building that dataset.  The sweep prepares the full data
+once (its risk structure and the design of each spec on its incidence
+pairs and visit rows, grouped by patient); each resample gathers its
+patients' blocks in its own order, drops the event times at which none
+of its visits falls together with the pairs covering them, and runs the
+same pipeline stages on the fitting cores of :mod:`irrvis.cox`,
+:mod:`irrvis.weights` and :mod:`irrvis.gee` that the public functions
+call.
 """
 
 from __future__ import annotations
@@ -17,11 +28,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import cox, gee, weights
 from .cox import fit_cox
 from .data import Dataset
-from .design import ModelMatrixSpec
+from .design import BoundDesign, ModelMatrixSpec
 from .errors import IrrvisError, NumericError, PipelineError, ValidationError
 from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
+from .riskset import RiskStructure
 from .rng import substream
 from .weights import (SelectionSpec, WeightSet, balancing_weights,
                       mle_weights, q_values, BalanceSpec)
@@ -95,6 +108,12 @@ def analyze_once(dataset: Dataset, config: AnalysisConfig, phi: float):
     fails the same way at every phi, so the sweep must not absorb it
     into a NaN row.
     """
+    return _run_stages(_DatasetStages(dataset, config), config, phi)
+
+
+def _run_stages(stages, config: AnalysisConfig, phi: float):
+    """The pipeline of :func:`analyze_once` over ``stages``, which computes
+    each stage on one dataset or on one resample of it."""
 
     def stage(name, fn):
         try:
@@ -105,21 +124,146 @@ def analyze_once(dataset: Dataset, config: AnalysisConfig, phi: float):
             raise PipelineError(name, phi, exc) from exc
 
     if config.weight_kind == "none":
-        fit = stage("marginal fit", lambda: fit_weighted_gee(
-            dataset, config.model, weights=None))
+        fit = stage("marginal fit", lambda: stages.marginal(None))
         return fit, None
 
-    q = stage("selection values", lambda: q_values(
-        dataset, config.selection, phi))
-    cox = stage("visit model fit", lambda: fit_cox(dataset, config.zspec, q))
-    if config.weight_kind == "mle":
-        wset = stage("weights", lambda: mle_weights(cox, dataset, q))
-    else:
-        wset = stage("weights", lambda: balancing_weights(
-            dataset, config.balance, q, cox))
-    fit = stage("marginal fit", lambda: fit_weighted_gee(
-        dataset, config.model, weights=wset.weights))
+    q = stage("selection values", lambda: stages.selection(phi))
+    cox = stage("visit model fit", lambda: stages.visit_model(q))
+    wset = stage("weights", lambda: stages.weights(cox, q))
+    fit = stage("marginal fit", lambda: stages.marginal(wset.weights))
     return fit, wset
+
+
+class _DatasetStages:
+    """Pipeline stages on a whole dataset, through the public functions."""
+
+    def __init__(self, dataset: Dataset, config: AnalysisConfig):
+        self.dataset = dataset
+        self.config = config
+
+    def selection(self, phi):
+        return q_values(self.dataset, self.config.selection, phi)
+
+    def visit_model(self, q):
+        return fit_cox(self.dataset, self.config.zspec, q)
+
+    def weights(self, cox, q):
+        if self.config.weight_kind == "mle":
+            return mle_weights(cox, self.dataset, q)
+        return balancing_weights(self.dataset, self.config.balance, q, cox)
+
+    def marginal(self, w):
+        return fit_weighted_gee(self.dataset, self.config.model, weights=w)
+
+
+def _blocks(bounds: np.ndarray, patients: np.ndarray) -> np.ndarray:
+    """Positions of the given patients' entries, patient by patient, in an
+    array whose patient ``k`` holds positions ``bounds[k]:bounds[k+1]``."""
+    starts = bounds[patients]
+    counts = bounds[patients + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return offsets + np.arange(offsets.size)
+
+
+class _Prepared:
+    """One dataset's pipeline inputs, from which any resample's are gathered.
+
+    A resample is a sequence of patient indices, possibly repeated; it
+    stands for ``dataset.take_patients(indices)``.  The full dataset's
+    :class:`RiskStructure` and the designs of every spec on its incidence
+    pairs and visit rows are built once.  Entries are grouped by patient,
+    so a resample's pairs, visit rows and at-risk rows are gathered patient
+    block by patient block, in the resample's order.  A spec with
+    standardized terms is bound on each resample's own rows and evaluated
+    there instead, as :func:`analyze_once` on the resample would.
+    """
+
+    def __init__(self, dataset: Dataset, config: AnalysisConfig):
+        self.dataset = dataset
+        self.config = config
+        bounds = dataset.patient_row_bounds
+        self.visit_rows = dataset.visit_row_indices()
+        self.visit_bounds = np.searchsorted(self.visit_rows, bounds)
+        self.y = dataset.outcome[self.visit_rows]
+        self.x = self._full(config.model.xspec, "visits")
+        if config.weight_kind == "none":
+            return
+        self.risk_rows = dataset.at_risk_row_indices()
+        self.risk_bounds = np.searchsorted(self.risk_rows, bounds)
+        self.rs = RiskStructure(dataset)
+        self.pair_bounds = np.searchsorted(self.rs.cover_row, bounds)
+        self.z = self._full(config.zspec, "at_risk")
+        if config.weight_kind == "balancing":
+            self.h = self._full(config.balance.hspec, "at_risk")
+
+    def _full(self, spec, subset):
+        """Full-data design of ``spec`` on the visit rows (``visits``) or on
+        the pairs and visit rows (``at_risk``); None if bound per resample."""
+        bound = BoundDesign(self.dataset, spec, subset)
+        if bound.standardizes:
+            return None
+        if subset == "visits":
+            return bound.evaluate(self.dataset, self.visit_rows)
+        return self.rs.design(bound, self.dataset)
+
+    def analyze(self, patients: np.ndarray, phi: float):
+        """:func:`analyze_once` on ``dataset.take_patients(patients)``."""
+        return _run_stages(_ResampleStages(self, patients), self.config, phi)
+
+
+class _ResampleStages:
+    """Pipeline stages on one resample, through the fitting cores."""
+
+    def __init__(self, prepared: _Prepared, patients: np.ndarray):
+        self.prepared = prepared
+        self.patients = np.asarray(patients, dtype=np.int64)
+        self.n = self.patients.size
+        self.visits = _blocks(prepared.visit_bounds, self.patients)
+        self.y = prepared.y[self.visits]
+
+    def _bind(self, spec):
+        """``spec`` bound on the resample's at-risk rows."""
+        p = self.prepared
+        rows = p.risk_rows[_blocks(p.risk_bounds, self.patients)]
+        return BoundDesign(p.dataset, spec, "at_risk", rows)
+
+    def _design(self, bound, full):
+        if bound.standardizes:
+            return self.rs.design(bound, self.prepared.dataset)
+        return (np.take(full[0], self.pairs, axis=0),
+                np.take(full[1], self.visits, axis=0))
+
+    def selection(self, phi):
+        return weights._selection_factors(self.y, self.prepared.config.selection, phi)
+
+    def visit_model(self, q):
+        p = self.prepared
+        bound = self._bind(p.config.zspec)
+        self.rs, self.pairs = p.rs.subset(_blocks(p.pair_bounds, self.patients),
+                                          self.visits, self.n)
+        z_cover, self.z_visit = self._design(bound, p.z)
+        return cox._fit(self.rs, z_cover, self.z_visit, p.config.zspec, q.values)
+
+    def weights(self, fit, q):
+        p = self.prepared
+        if p.config.weight_kind == "mle":
+            return weights._inverse_intensity(fit, self.z_visit @ fit.gamma,
+                                              q.values, q.phi)
+        hspec = p.config.balance.hspec
+        h_cover, h_visit = self._design(self._bind(hspec), p.h)
+        system = weights._BalanceSystem(self.rs, h_cover, h_visit, q.values, fit)
+        return weights._balance(system, hspec, q.phi)
+
+    def marginal(self, w):
+        p = self.prepared
+        model = p.config.model
+        rows = p.visit_rows[self.visits]
+        bound = gee._bind(p.dataset, model, rows)
+        if bound.standardizes:
+            x = bound.evaluate(p.dataset, rows)
+        else:
+            x = np.take(p.x, self.visits, axis=0)
+        return gee._fit(x, self.y, w, model, self.n)
 
 
 @dataclass(frozen=True)
@@ -140,22 +284,29 @@ class BootstrapResult:
     n_failed: int
 
 
-def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float) -> ResampleSE:
+def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float, *,
+              _prepared: Optional[_Prepared] = None) -> ResampleSE:
     """Leave-one-patient-out standard errors.
 
     SE_j = sqrt( (n-1)/n * sum_k (beta_(-k),j - mean_j)^2 ) over the
     deletions that converged; failures are dropped and counted.
+
+    Deletion ``k`` is fitted exactly as ``analyze_once`` on
+    ``dataset.take_patients`` of every patient but ``k`` would fit it, and
+    gives the same estimate bit for bit; its inputs are gathered from
+    arrays prepared once for the whole dataset (see :class:`_Prepared`)
+    rather than rebuilt.
     """
     n = dataset.n_patients
     if n < 2:
         raise ValidationError("jackknife needs at least 2 patients")
+    prepared = _prepared if _prepared is not None else _Prepared(dataset, config)
     keep = np.arange(n)
     estimates = []
     n_failed = 0
     for k in range(n):
-        sub = dataset.take_patients(np.delete(keep, k))
         try:
-            fit, _ = analyze_once(sub, config, phi)
+            fit, _ = prepared.analyze(np.delete(keep, k), phi)
         except NumericError:
             n_failed += 1
             continue
@@ -170,20 +321,23 @@ def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float) -> ResampleS
 
 
 def bootstrap(dataset: Dataset, config: AnalysisConfig, phi: float,
-              b: int, seed: int) -> BootstrapResult:
+              b: int, seed: int, *,
+              _prepared: Optional[_Prepared] = None) -> BootstrapResult:
     """Patient-level bootstrap: SE from the replicate SD, percentile CIs.
 
     Replicate r draws patients with a dedicated substream(seed, r), so any
-    subset of replicates is reproducible in isolation.
+    subset of replicates is reproducible in isolation.  A drawn patient
+    enters once per draw, as in ``dataset.take_patients``; the replicate
+    is fitted like a jackknife deletion, from arrays prepared once.
     """
     n = dataset.n_patients
+    prepared = _prepared if _prepared is not None else _Prepared(dataset, config)
     estimates = []
     n_failed = 0
     for r in range(b):
         rng = substream(seed, r)
-        sub = dataset.take_patients(rng.integers(0, n, size=n))
         try:
-            fit, _ = analyze_once(sub, config, phi)
+            fit, _ = prepared.analyze(rng.integers(0, n, size=n), phi)
         except NumericError:
             n_failed += 1
             continue
@@ -247,14 +401,17 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
     """
     names = tuple(config.model.xspec.names)
     rows = []
+    prepared = None
     for phi in config.phi_grid:
         try:
             fit, wset = analyze_once(dataset, config, phi)
+            if config.resampling.kind != "none" and prepared is None:
+                prepared = _Prepared(dataset, config)
             if config.resampling.kind == "jackknife":
-                se = jackknife(dataset, config, phi).se
+                se = jackknife(dataset, config, phi, _prepared=prepared).se
             elif config.resampling.kind == "bootstrap":
-                se = bootstrap(dataset, config, phi,
-                               config.resampling.b, config.resampling.seed).se
+                se = bootstrap(dataset, config, phi, config.resampling.b,
+                               config.resampling.seed, _prepared=prepared).se
             else:
                 se = np.full(len(names), np.nan)
         except NumericError:

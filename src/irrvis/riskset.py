@@ -57,9 +57,42 @@ class RiskStructure:
         self.visit_rows = dataset.visit_row_indices()
         self.visit_event = np.searchsorted(self.event_times, dataset.end[self.visit_rows])
 
+    def subset(self, pairs: np.ndarray, visits: np.ndarray, n: int):
+        """Structure of a dataset built from some of this one's rows.
+
+        ``pairs`` and ``visits`` index this structure's incidence pairs and
+        visit rows, in the order the new dataset holds them (they may
+        repeat).  Event times at which none of ``visits`` falls are dropped
+        with the pairs that cover them, and the remaining events are
+        renumbered.  Returns ``(structure, kept)``: ``kept`` is the part of
+        ``pairs`` that survives, so per-pair arrays are sliced by it.  Row
+        indices in the result still refer to this structure's dataset.
+        """
+        events = np.zeros(self.K, dtype=bool)
+        events[self.visit_event[visits]] = True
+        if not events.any():
+            raise ValidationError("dataset has no visits")
+        renumber = np.cumsum(events) - 1
+        kept = pairs[events[self.cover_event[pairs]]]
+        out = object.__new__(RiskStructure)
+        out.n = int(n)
+        out.event_times = self.event_times[events]
+        out.K = int(out.event_times.size)
+        out.cover_row = self.cover_row[kept]
+        out.cover_event = renumber[self.cover_event[kept]]
+        out.visit_rows = self.visit_rows[visits]
+        out.visit_event = renumber[self.visit_event[visits]]
+        return out, kept
+
     def cover_times(self) -> np.ndarray:
         """Event time of each incidence pair."""
         return self.event_times[self.cover_event]
+
+    def design(self, bound, dataset: Dataset):
+        """``bound``'s design on the incidence pairs, each row at its pair's
+        event time, and on the visit rows: ``(on_pairs, on_visits)``."""
+        return (bound.evaluate(dataset, self.cover_row, self.cover_times()),
+                bound.evaluate(dataset, self.visit_rows))
 
     def event_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum ``values`` (one per incidence pair) within each event time."""

@@ -28,11 +28,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._newton import maximize
+from ._newton import is_positive_definite, maximize
 from .cox import CoxFit, QValues
 from .data import Dataset
 from .design import ModelMatrixSpec, bind
-from .errors import NumericError, ValidationError
+from .errors import (BalanceInfeasibleError, NumericError, RankDeficiencyError,
+                     ValidationError)
 from .riskset import RiskStructure
 
 __all__ = ["SelectionSpec", "BalanceSpec", "WeightSet", "q_values",
@@ -100,9 +101,14 @@ class WeightSet:
 
 def q_values(dataset: Dataset, selection: SelectionSpec, phi: float) -> QValues:
     """Selection factors ``exp(-phi * S(y))`` for every visit row."""
+    return _selection_factors(dataset.outcome[dataset.visit_row_indices()],
+                              selection, phi)
+
+
+def _selection_factors(y: np.ndarray, selection: SelectionSpec, phi: float) -> QValues:
+    """:func:`q_values` on the outcomes of the visit rows."""
     if not np.isfinite(phi):
         raise ValidationError("phi must be finite")
-    y = dataset.outcome[dataset.visit_row_indices()]
     with np.errstate(over="ignore"):
         values = np.exp(-float(phi) * selection.apply(y))
     # overflow (or underflow to 0) is a property of this phi, not bad usage
@@ -115,10 +121,16 @@ def mle_weights(cox: CoxFit, dataset: Dataset, q: QValues) -> WeightSet:
     """Baseline-stabilized inverse-intensity weights at the fitted model."""
     visit_rows = dataset.visit_row_indices()
     q_arr = q.check(visit_rows.size)
-    eta = cox.linear_predictor(dataset, visit_rows)
-    return WeightSet(kind="mle", weights=np.exp(-eta) * q_arr,
+    return _inverse_intensity(cox, cox.linear_predictor(dataset, visit_rows),
+                              q_arr, q.phi)
+
+
+def _inverse_intensity(cox: CoxFit, eta: np.ndarray, q: np.ndarray,
+                       phi: float) -> WeightSet:
+    """:func:`mle_weights` from the linear predictor at the visit rows."""
+    return WeightSet(kind="mle", weights=np.exp(-eta) * q,
                      gamma=np.asarray(cox.gamma, dtype=np.float64).copy(),
-                     names=tuple(cox.names), phi=q.phi)
+                     names=tuple(cox.names), phi=phi)
 
 
 def _breslow_pair(breslow, structure: RiskStructure):
@@ -139,19 +151,21 @@ def _breslow_pair(breslow, structure: RiskStructure):
 
 
 class _BalanceSystem:
-    """Residual, objective and Jacobian of the balance conditions."""
+    """Residual, objective and Jacobian of the balance conditions.
 
-    def __init__(self, dataset: Dataset, hspec: ModelMatrixSpec, q_arr: np.ndarray,
-                 breslow):
-        self.rs = RiskStructure(dataset)
-        bound = bind(dataset, hspec, "at_risk")
-        self.h_visit = bound.evaluate(dataset, self.rs.visit_rows)
-        inc = _breslow_pair(breslow, self.rs)
-        h_cover = bound.evaluate(dataset, self.rs.cover_row, self.rs.cover_times())
+    ``h_cover`` holds the balance terms on the risk structure's incidence
+    pairs and ``h_visit`` on its visit rows; ``breslow`` is as in
+    :func:`balancing_weights`.
+    """
+
+    def __init__(self, rs: RiskStructure, h_cover: np.ndarray, h_visit: np.ndarray,
+                 q_arr: np.ndarray, breslow):
+        inc = _breslow_pair(breslow, rs)
+        self.h_visit = h_visit
         # target: sum_k dLambda_k * (risk-set sum of h at event k)
-        self.target = h_cover.T @ inc[self.rs.cover_event]
+        self.target = h_cover.T @ inc[rs.cover_event]
         self.q = q_arr
-        self.n = self.rs.n
+        self.n = rs.n
 
     def weights_at(self, gamma: np.ndarray) -> np.ndarray:
         return np.exp(self.h_visit @ gamma) * self.q
@@ -168,6 +182,13 @@ class _BalanceSystem:
         return -objective, -self.residual(w), jacobian
 
 
+def _balance_system(dataset: Dataset, hspec: ModelMatrixSpec, q_arr: np.ndarray,
+                    breslow) -> _BalanceSystem:
+    rs = RiskStructure(dataset)
+    h_cover, h_visit = rs.design(bind(dataset, hspec, "at_risk"), dataset)
+    return _BalanceSystem(rs, h_cover, h_visit, q_arr, breslow)
+
+
 def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec],
                       q: QValues, breslow) -> WeightSet:
     """Solve the balance conditions and return the implied visit weights.
@@ -182,16 +203,23 @@ def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec
         Baseline increments of the visit process, computed with the same q.
 
     Solved by damped Newton descent on the convex dual objective,
-    starting from zero.
+    starting from zero.  When the balance conditions have no solution the
+    dual objective is unbounded below, and :class:`BalanceInfeasibleError`
+    is raised.
     """
     if isinstance(spec, ModelMatrixSpec):
         spec = BalanceSpec(hspec=spec)
     q_arr = q.check(int(dataset.visit.sum()))
-    system = _BalanceSystem(dataset, spec.hspec, q_arr, breslow)
+    system = _balance_system(dataset, spec.hspec, q_arr, breslow)
+    return _balance(system, spec.hspec, q.phi)
+
+
+def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float) -> WeightSet:
+    """:func:`balancing_weights` on a built balance system."""
     # a non-constant term that never varies at visit rows duplicates the
     # intercept direction and makes the Jacobian singular; drop it
-    names = list(spec.hspec.names)
-    const_j = next(j for j, t in enumerate(spec.hspec.terms) if t.kind == "const")
+    names = list(hspec.names)
+    const_j = next(j for j, t in enumerate(hspec.terms) if t.kind == "const")
     keep = np.ptp(system.h_visit, axis=0) > 0.0
     keep[const_j] = True
     if not keep.all():
@@ -201,13 +229,23 @@ def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec
         system.h_visit = system.h_visit[:, keep]
         system.target = system.target[keep]
         names = [n for n, k in zip(names, keep) if k]
-    gamma, _, _, _ = maximize(
-        system.evaluate, np.zeros(len(names)), "balance solve",
-        "balance solve: singular Jacobian (collinear balance terms)")
+    start = np.zeros(len(names))
+    try:
+        gamma, _, _, _ = maximize(
+            system.evaluate, start, "balance solve",
+            "balance solve: singular Jacobian (collinear balance terms)")
+    except RankDeficiencyError:
+        # a Jacobian that is positive definite at the start and singular
+        # later means the iterates ran off: the dual is unbounded below
+        if not is_positive_definite(system.evaluate(start)[2]):
+            raise
+        raise BalanceInfeasibleError(
+            "balance solve: the dual diverged; the balance conditions appear "
+            f"infeasible at phi={phi:g}") from None
     w = system.weights_at(gamma)
     res = system.residual(w)
     return WeightSet(kind="balancing", weights=w, gamma=gamma, names=tuple(names),
-                     phi=q.phi, balance_residuals=res,
+                     phi=phi, balance_residuals=res,
                      max_abs_residual=float(np.max(np.abs(res))))
 
 
@@ -234,8 +272,7 @@ def balance_report(dataset: Dataset, hspec: ModelMatrixSpec, weights, breslow,
         raise ValidationError("weights must have one entry per visit row")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValidationError("weights must be positive and finite")
-    system = _BalanceSystem(dataset, hspec, np.ones_like(w), breslow)
-    res = system.residual(w)
+    res = _balance_system(dataset, hspec, np.ones_like(w), breslow).residual(w)
     bound = bind(dataset, hspec, "at_risk")
     risk_rows = dataset.at_risk_row_indices()
     h_risk = bound.evaluate(dataset, risk_rows)

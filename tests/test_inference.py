@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import grid_rows, random_panel
-from irrvis import (AnalysisConfig, Dataset, MarginalModelSpec,
+from irrvis import (AnalysisConfig, Dataset, IrrvisError, MarginalModelSpec,
                     ModelMatrixSpec, NumericError, PipelineError, Resampling,
                     ValidationError, analyze_once, bootstrap, fit_weighted_gee,
                     jackknife, sweep, q_values, fit_cox, mle_weights,
                     SelectionSpec, substream)
+from irrvis.inference import _Prepared
 
 IDENT = MarginalModelSpec(ModelMatrixSpec(["1", "z1"]))
 
@@ -302,3 +307,182 @@ def test_sweep_csv_round_trip(tmp_path):
     assert first[-1] == "1"
     assert lines[-1].endswith(",0")
     assert "nan" in lines[-1]
+
+
+# -- resamples from the prepared full data ------------------------------------
+
+
+def parity_dataset():
+    """Ties, a patient alone at an event time, one without visits, censoring.
+
+    ``flag`` marks the patient alone at an event time, so resamples without
+    that patient cannot estimate or standardize it.
+    """
+    rng = np.random.default_rng(17)
+    rows = []
+    for pid in range(9):
+        cov = {"z1": float(rng.normal()), "z2": float(rng.normal()),
+               "flag": 0.0}
+        visits = {k: float(3.0 + rng.normal()) for k in range(1, 7)
+                  if rng.random() < 0.5}
+        rows += grid_rows(f"p{pid}", cov, visits, n_periods=6,
+                          censored_from=5 if pid == 4 else None)
+    # on a half-unit grid, so its visit at 2.5 is the only one there
+    rows += grid_rows("alone", {"z1": 0.3, "z2": -0.4, "flag": 1.0},
+                      {5: 2.5, 8: 3.1}, n_periods=12, step=0.5)
+    rows += grid_rows("silent", {"z1": -0.2, "z2": 0.9, "flag": 0.0}, {},
+                      n_periods=6)
+    return Dataset.from_rows(rows, tau=6.0)
+
+
+POISSON = MarginalModelSpec(ModelMatrixSpec(["1", "z1", "t"]), link="log",
+                            variance="poisson")
+STD_X = MarginalModelSpec(ModelMatrixSpec(["1", "std(z1)", "t*std(z2)"]))
+STD_Z = ModelMatrixSpec(["std(z1)", "t*std(z2)"])
+STD_H = ModelMatrixSpec(["1", "std(z1)", "z2", "t*std(z2)"])
+
+PARITY_CONFIGS = {
+    "none": none_config(),
+    "none-poisson": none_config(model=POISSON),
+    "none-std": none_config(model=STD_X),
+    "mle": mle_config(zspec=ModelMatrixSpec(["z1", "z2"])),
+    "mle-std": mle_config(model=STD_X, zspec=STD_Z),
+    "mle-poisson": mle_config(model=POISSON, zspec=ModelMatrixSpec(["z1", "z2"])),
+    "mle-flag": mle_config(zspec=ModelMatrixSpec(["z1", "flag"])),
+    "mle-std-flag": mle_config(zspec=ModelMatrixSpec(["z1", "std(flag)"])),
+    "balancing": AnalysisConfig(model=IDENT, weight_kind="balancing",
+                                zspec=ModelMatrixSpec(["z1"]),
+                                hspec=ModelMatrixSpec(["1", "z1", "z2"])),
+    "balancing-std": AnalysisConfig(model=STD_X, weight_kind="balancing",
+                                    zspec=STD_Z, hspec=STD_H),
+    "balancing-flag": AnalysisConfig(model=IDENT, weight_kind="balancing",
+                                     zspec=ModelMatrixSpec(["z1"]),
+                                     hspec=ModelMatrixSpec(["1", "z1", "flag"])),
+    "balancing-poisson": AnalysisConfig(model=POISSON, weight_kind="balancing",
+                                        zspec=ModelMatrixSpec(["z1"]),
+                                        hspec=ModelMatrixSpec(["1", "z1", "t"])),
+}
+
+
+def same_pass(prepared, ds, cfg, patients, phi):
+    """The prepared resample reproduces ``analyze_once`` on
+    ``take_patients`` bit for bit, or fails the same way; True on success."""
+    try:
+        want_fit, want_w = analyze_once(ds.take_patients(patients), cfg, phi)
+    except IrrvisError as exc:
+        with pytest.raises(IrrvisError) as err:
+            prepared.analyze(patients, phi)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "stage", None) == getattr(exc, "stage", None)
+        return False
+    fit, w = prepared.analyze(patients, phi)
+    for field in ("beta", "fitted_means"):
+        assert np.array_equal(getattr(fit, field), getattr(want_fit, field))
+    assert (fit.n_iter, fit.max_eq_norm) == (want_fit.n_iter, want_fit.max_eq_norm)
+    if want_w is None:
+        assert w is None
+        return True
+    for field in ("weights", "gamma"):
+        assert np.array_equal(getattr(w, field), getattr(want_w, field))
+    assert (w.kind, w.names, w.phi) == (want_w.kind, want_w.names, want_w.phi)
+    if want_w.balance_residuals is not None:
+        assert np.array_equal(w.balance_residuals, want_w.balance_residuals)
+        assert w.max_abs_residual == want_w.max_abs_residual
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+def test_prepared_resamples_match_take_patients(name):
+    ds = parity_dataset()
+    cfg = PARITY_CONFIGS[name]
+    prepared = _Prepared(ds, cfg)
+    n = ds.n_patients
+    draws = [np.delete(np.arange(n), k) for k in range(n)]
+    draws += [substream(5, r).integers(0, n, size=n) for r in range(6)]
+    assert any(np.unique(d).size < d.size for d in draws[n:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ok = [same_pass(prepared, ds, cfg, d, phi)
+              for phi in (0.0, 0.4) for d in draws]
+    assert sum(ok) > len(ok) // 2
+
+
+def test_jackknife_and_bootstrap_match_take_patients_loops():
+    # flag marks one patient, so the deletion of that patient leaves the
+    # visit model singular and fails
+    rows = []
+    for pid, z in enumerate([-1.0, 0.4, 1.2, -0.3, 0.8]):
+        visits = {1 + pid % 3: z, 4: 0.5 * z} if pid != 2 else {2: 1.0, 3: 0.0}
+        rows += grid_rows(f"p{pid}", {"z1": z, "flag": float(pid == 2)}, visits)
+    ds = Dataset.from_rows(rows, tau=4.0)
+    cfg = mle_config(zspec=ModelMatrixSpec(["z1", "flag"]))
+    res = jackknife(ds, cfg, 0.2)
+    betas, failed = [], 0
+    for k in range(ds.n_patients):
+        try:
+            fit, _ = analyze_once(ds.take_patients(np.delete(np.arange(5), k)),
+                                  cfg, 0.2)
+        except NumericError:
+            failed += 1
+            continue
+        betas.append(fit.beta)
+    assert failed == res.n_failed == 1
+    est = np.asarray(betas)
+    dev = est - est.mean(axis=0)
+    assert np.array_equal(res.se, np.sqrt(3 / 4 * (dev * dev).sum(axis=0)))
+
+    with pytest.warns(UserWarning, match="replicates failed"):
+        boot = bootstrap(ds, cfg, 0.2, b=12, seed=3)
+    betas, failed = [], 0
+    for r in range(12):
+        idx = substream(3, r).integers(0, 5, size=5)
+        try:
+            betas.append(analyze_once(ds.take_patients(idx), cfg, 0.2)[0].beta)
+        except NumericError:
+            failed += 1
+    assert boot.n_failed == failed
+    assert np.array_equal(boot.se, np.asarray(betas).std(axis=0, ddof=1))
+
+
+# -- invariances -------------------------------------------------------------
+
+
+INVARIANCE_CONFIGS = [none_config(), mle_config(),
+                      AnalysisConfig(model=IDENT, weight_kind="balancing",
+                                     zspec=ModelMatrixSpec(["z1"]),
+                                     hspec=ModelMatrixSpec(["1", "z1"]))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), which=st.integers(0, 2),
+       phi=st.sampled_from([0.0, 0.3]))
+def test_identity_take_patients_is_bit_identical(seed, which, phi):
+    ds = random_panel(seed, n_patients=6, p_visit=0.6)
+    cfg = INVARIANCE_CONFIGS[which]
+    same = ds.take_patients(np.arange(ds.n_patients))
+    try:
+        want_fit, want_w = analyze_once(ds, cfg, phi)
+    except NumericError as exc:
+        with pytest.raises(type(exc)):
+            analyze_once(same, cfg, phi)
+        return
+    fit, w = analyze_once(same, cfg, phi)
+    assert np.array_equal(fit.beta, want_fit.beta)
+    if want_w is not None:
+        assert np.array_equal(w.weights, want_w.weights)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), which=st.integers(0, 2),
+       order=st.permutations(range(7)))
+def test_patient_order_leaves_jackknife_se_unchanged(seed, which, order):
+    ds = random_panel(seed, n_patients=7, p_visit=0.6)
+    cfg = INVARIANCE_CONFIGS[which]
+    try:
+        want = jackknife(ds, cfg, 0.2)
+    except NumericError:
+        return
+    got = jackknife(ds.take_patients(order), cfg, 0.2)
+    assert got.n_failed == want.n_failed
+    assert np.allclose(got.se, want.se, rtol=1e-12, atol=0.0)

@@ -38,6 +38,35 @@ def test_pairs_match_brute_force_on_random_panels(seed):
     assert sorted(zip(rs.cover_row.tolist(), rs.cover_event.tolist())) == pairs
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 5), min_size=1, max_size=8))
+def test_subset_is_the_structure_of_the_taken_patients(seed, draw):
+    ds = random_panel(seed, n_patients=6, n_periods=4, p_visit=0.3)
+    full = RiskStructure(ds)
+    bounds = ds.patient_row_bounds
+    rows = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in draw])
+
+    def own(rows_of_full):
+        return np.concatenate([
+            np.flatnonzero((rows_of_full >= bounds[i]) & (rows_of_full < bounds[i + 1]))
+            for i in draw])
+
+    sub = ds.take_patients(draw)
+    if not sub.visit.any():
+        with pytest.raises(ValidationError, match="no visits"):
+            full.subset(own(full.cover_row), own(full.visit_rows), len(draw))
+        return
+    want = RiskStructure(sub)
+    got, kept = full.subset(own(full.cover_row), own(full.visit_rows), len(draw))
+    assert (got.n, got.K) == (want.n, want.K)
+    assert np.array_equal(got.event_times, want.event_times)
+    assert np.array_equal(got.cover_event, want.cover_event)
+    assert np.array_equal(got.cover_row, rows[want.cover_row])
+    assert np.array_equal(full.cover_row[kept], got.cover_row)
+    assert np.array_equal(got.visit_rows, rows[want.visit_rows])
+    assert np.array_equal(got.visit_event, want.visit_event)
+
+
 def test_censored_rows_carry_no_pairs():
     rows = grid_rows("a", {"z": 0.0}, {1: 1.0}, n_periods=3)
     rows += grid_rows("b", {"z": 0.0}, {}, n_periods=3, censored_from=2)

@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from helpers import grid_rows, random_panel
-from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec, QValues,
+from irrvis import (BalanceInfeasibleError, CountingProcessRow, Dataset,
+                    ModelMatrixSpec, NumericError, QValues,
                     RankDeficiencyError, ScenarioConfig, SelectionSpec,
                     ValidationError, balance_report, balancing_weights,
                     fit_cox, generate, mle_weights, q_values)
@@ -196,6 +197,22 @@ def test_collinear_balance_terms_rejected():
     cox = fit_cox(doubled, ModelMatrixSpec(["z1"]), q=q)
     with pytest.raises(RankDeficiencyError, match="collinear balance terms"):
         balancing_weights(doubled, ModelMatrixSpec(["1", "z1", "z2"]), q, cox)
+
+
+def test_infeasible_balance_conditions_reported():
+    # the Jacobian is positive definite at the start (eigenvalues 0.22 to
+    # 166), but no weights satisfy the ten conditions: the dual diverges
+    # until the Jacobian is numerically singular
+    cfg = ScenarioConfig(outcome="continuous", gamma_z=1.25, phi_true=0.3,
+                         n=30, scenario="s3_SF_correctZ", seed=1)
+    observed, _ = generate(cfg, 0)
+    q = q_values(observed, cfg.selection(), 0.0)
+    cox = fit_cox(observed, ModelMatrixSpec(cfg.weight_covariates()), q)
+    with pytest.raises(BalanceInfeasibleError,
+                       match="dual diverged.*infeasible at phi=0") as err:
+        balancing_weights(observed, ModelMatrixSpec(cfg.balance_terms()), q, cox)
+    assert isinstance(err.value, NumericError)
+    assert not isinstance(err.value, RankDeficiencyError)
 
 
 def test_degenerate_term_dropped_with_warning():
