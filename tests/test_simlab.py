@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from irrvis import (MetricsTable, ScenarioConfig, ValidationError,
@@ -163,17 +165,37 @@ def test_limiting_fit_matches_general_engine():
     from irrvis.simlab import _fit_grid_cox, _limiting_design
 
     cfg = cont_cfg(phi_true=0.3, scenario="s3_SF_correctZ", seed=1, n=400)
-    design, visit = _limiting_design(cfg, 400, correct_covariates=True)
-    gamma = _fit_grid_cox(design, visit)
-    rows = design.shape[0]
-    n = rows // 500
-    ds = Dataset(list(range(n)), np.repeat(np.arange(n, dtype=np.int32), 500),
-                 np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
-                 np.tile(GRID_TIMES, n), np.ones(rows, dtype=bool), visit,
-                 np.where(visit, 0.0, np.nan), design.astype(np.float64),
-                 ("a", "b", "ab", "x", "sy"), tau=TAU, validate=False)
-    ref = fit_cox(ds, ModelMatrixSpec(["a", "b", "ab", "x", "sy"]))
-    assert np.allclose(gamma, ref.gamma, atol=1e-6)
+    # n = 20 leaves most grid times without a visit; neither chunk divides
+    # n, so a partial last chunk runs
+    for n, chunk, min_empty in ((400, 64, 0), (20, 7, 250)):
+        design, visit = _limiting_design(cfg, n, correct_covariates=True)
+        empty = int(np.sum(visit.reshape(n, 500).sum(axis=0) == 0))
+        assert empty >= min_empty
+        gamma = _fit_grid_cox(design, visit, patient_chunk=chunk)
+        rows = design.shape[0]
+        ds = Dataset(list(range(n)), np.repeat(np.arange(n, dtype=np.int32), 500),
+                     np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
+                     np.tile(GRID_TIMES, n), np.ones(rows, dtype=bool), visit,
+                     np.where(visit, 0.0, np.nan), design.astype(np.float64),
+                     ("a", "b", "ab", "x", "sy"), tau=TAU, validate=False)
+        ref = fit_cox(ds, ModelMatrixSpec(["a", "b", "ab", "x", "sy"]))
+        assert np.allclose(gamma, ref.gamma, rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(8, 40))
+def test_limiting_fit_is_independent_of_patient_chunk(seed, n):
+    from irrvis.simlab import _fit_grid_cox, _limiting_design
+
+    cfg = cont_cfg(gamma_z=1.25, phi_true=0.3, scenario="s4_SF_transformedZ",
+                   seed=seed)
+    design, visit = _limiting_design(cfg, n, correct_covariates=False)
+    whole = _fit_grid_cox(design, visit, patient_chunk=n)
+    for chunk in (1, 7, 64):
+        gamma = _fit_grid_cox(design, visit, patient_chunk=chunk)
+        assert np.max(np.abs(gamma - whole)) <= 1e-12 * np.max(np.abs(whole))
+        again = _fit_grid_cox(design, visit, patient_chunk=chunk)
+        assert np.array_equal(gamma, again)
 
 
 def test_limiting_phi_deterministic_and_near_truth():
