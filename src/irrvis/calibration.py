@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox import fit_cox
-from .data import Dataset
+from .data import Dataset, _format_float
 from .design import ModelMatrixSpec, bind
-from .errors import NumericError, PipelineError, IrrvisError, ValidationError
+from .errors import NumericError, ValidationError, _stage
 from .riskset import RiskStructure
 from .weights import SelectionSpec
 
@@ -132,12 +132,12 @@ class CalibrationResult:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["quantity", "value"])
             for key, value in self.as_items():
-                writer.writerow([key, repr(float(value))])
+                writer.writerow([key, _format_float(value)])
 
     def report(self) -> str:
         lines = [f"{key}={value!r}" for key, value in self.as_items()]
         grid = suggested_grid(self.phi_abs)
-        lines.append("suggested_phi_grid=" + ",".join(repr(g) for g in grid))
+        lines.append("suggested_phi_grid=" + ",".join(map(_format_float, grid)))
         return "\n".join(lines) + "\n"
 
 
@@ -168,16 +168,10 @@ def calibrate(dataset: Dataset, zspec: ModelMatrixSpec, sel_transform: str,
         raise ValidationError("calibration needs at least two visits")
     selection = SelectionSpec(transform=sel_transform)
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except IrrvisError as exc:
-            raise PipelineError(name, 0.0, exc) from exc
-
     # (a, b) per-interval probabilities from the full fit; the partition at
     # distinct visit times is exactly the risk structure's event axis, and
     # each (at-risk row, event) pair is one patient-interval
-    cox = stage("calibration full fit", lambda: fit_cox(dataset, zspec))
+    cox = _stage("calibration full fit", 0.0, lambda: fit_cox(dataset, zspec))
     rs = RiskStructure(dataset)
     bound = bind(dataset, zspec, "at_risk")
     eta = bound.evaluate(dataset, rs.cover_row, rs.cover_times()) @ cox.gamma

@@ -23,11 +23,11 @@ import yaml
 from . import __version__
 from .calibration import calibrate
 from .cox import fit_cox
-from .data import load_csv
+from .data import _format_float, load_csv
 from .design import ModelMatrixSpec
-from .errors import IrrvisError, NumericError, ValidationError
+from .errors import IrrvisError, PipelineError, ValidationError
 from .gee import MarginalModelSpec
-from .inference import AnalysisConfig, Resampling, analyze_once, sweep
+from .inference import AnalysisConfig, Resampling, sweep
 from .simlab import ScenarioConfig, run_study
 from .weights import (SelectionSpec, balance_report, balancing_weights,
                       export_weights, mle_weights, q_values)
@@ -126,10 +126,6 @@ def _seed(config: dict) -> int:
     return seed
 
 
-def _fmt(value: float) -> str:
-    return format(value, "g")
-
-
 def _write_manifest(outdir: str, command: str, config_path, seed: int) -> None:
     with open(config_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -151,9 +147,9 @@ def _write_cox(path, cox) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["section", "key", "value"])
         for name, value in zip(cox.names, cox.gamma):
-            writer.writerow(["coef", name, repr(float(value))])
+            writer.writerow(["coef", name, _format_float(value)])
         for time, inc in zip(cox.event_times, cox.increments):
-            writer.writerow(["breslow", repr(float(time)), repr(float(inc))])
+            writer.writerow(["breslow", _format_float(time), _format_float(inc)])
 
 
 def _write_balance(path, report: list) -> None:
@@ -161,8 +157,8 @@ def _write_balance(path, report: list) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["term", "residual", "standardized_residual", "zero_sd"])
         for row in report:
-            writer.writerow([row["term"], repr(row["residual"]),
-                             repr(row["standardized_residual"]),
+            writer.writerow([row["term"], _format_float(row["residual"]),
+                             _format_float(row["standardized_residual"]),
                              int(row["zero_sd"])])
 
 
@@ -213,20 +209,9 @@ def _analysis_config(config: dict) -> AnalysisConfig:
                           resampling=resampling)
 
 
-def _phi_artifacts(dataset, outdir: str, kind: str, zspec, hspec,
-                   selection, phi: float) -> None:
-    """Per-phi weight, balance and visit-model files; skipped on failure."""
-    tag = _fmt(phi)
-    try:
-        q = q_values(dataset, selection, phi)
-        cox = fit_cox(dataset, zspec, q)
-        if kind == "mle":
-            wset = mle_weights(cox, dataset, q)
-        else:
-            wset = balancing_weights(dataset, hspec, q, cox)
-    except NumericError as exc:
-        log.warning("phi=%s: %s; no artifact files written", tag, exc)
-        return
+def _phi_artifacts(dataset, outdir, phi, cox, wset, hspec) -> None:
+    """Visit model, weight and (with balance terms) balance files of one phi."""
+    tag = format(phi, "g")
     _write_cox(os.path.join(outdir, f"cox_phi{tag}.csv"), cox)
     export_weights(dataset, wset, os.path.join(outdir, f"weights_phi{tag}.csv"))
     if hspec is not None:
@@ -242,9 +227,11 @@ def cmd_analyze(config: dict, config_path, outdir: str, threads) -> int:
     result = sweep(dataset, acfg)
     result.to_csv(os.path.join(outdir, "sweep.csv"))
     if acfg.weight_kind != "none":
-        for phi in acfg.phi_grid:
-            _phi_artifacts(dataset, outdir, acfg.weight_kind, acfg.zspec,
-                           acfg.hspec, acfg.selection, phi)
+        for phi, kept in result.fits.items():
+            if isinstance(kept, PipelineError):
+                log.warning("%s; no artifact files written", kept)
+            else:
+                _phi_artifacts(dataset, outdir, phi, *kept, acfg.hspec)
     _write_manifest(outdir, "analyze", config_path, _seed(config))
     return 0
 
@@ -286,7 +273,7 @@ def cmd_simulate(config: dict, config_path, outdir: str, threads) -> int:
             for rep in range(block.shape[0]):
                 for j, parameter in enumerate(("beta1", "beta2")):
                     writer.writerow([rep, estimator, parameter,
-                                     repr(float(block[rep, j]))])
+                                     _format_float(block[rep, j])])
     _write_manifest(outdir, "simulate", config_path, _seed(config))
     return 0
 
@@ -310,12 +297,7 @@ def cmd_weights(config: dict, config_path, outdir: str, threads) -> int:
         wset = mle_weights(cox, dataset, q)
     else:
         wset = balancing_weights(dataset, hspec, q, cox)
-    tag = _fmt(phi)
-    _write_cox(os.path.join(outdir, f"cox_phi{tag}.csv"), cox)
-    export_weights(dataset, wset, os.path.join(outdir, f"weights_phi{tag}.csv"))
-    if hspec is not None:
-        report = balance_report(dataset, hspec, wset, cox)
-        _write_balance(os.path.join(outdir, f"balance_phi{tag}.csv"), report)
+    _phi_artifacts(dataset, outdir, phi, cox, wset, hspec)
     _write_manifest(outdir, "weights", config_path, _seed(config))
     return 0
 

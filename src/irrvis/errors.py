@@ -44,3 +44,13 @@ class PipelineError(NumericError):
         self.stage = stage
         self.phi = phi
         super().__init__(f"stage {stage!r} failed at phi={phi:g}: {cause}")
+
+
+def _stage(name, phi, fn):
+    """``fn()``; numeric failures become a PipelineError, usage errors pass."""
+    try:
+        return fn()
+    except ValidationError:
+        raise
+    except IrrvisError as exc:
+        raise PipelineError(name, phi, exc) from exc

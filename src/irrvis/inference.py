@@ -17,6 +17,10 @@ of its visits falls together with the pairs covering them, and runs the
 same pipeline stages on the fitting cores of :mod:`irrvis.cox`,
 :mod:`irrvis.weights` and :mod:`irrvis.gee` that the public functions
 call.
+
+Besides its table, a :class:`SweepResult` keeps, for each phi, the visit
+model fit and the weights of the point fit, or the PipelineError that
+stopped it; the command line writes its per-phi files from these.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ import numpy as np
 
 from . import cox, gee, weights
 from .cox import fit_cox
-from .data import Dataset
+from .data import Dataset, _format_float
 from .design import BoundDesign, ModelMatrixSpec
-from .errors import IrrvisError, NumericError, PipelineError, ValidationError
-from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
+from .errors import NumericError, ValidationError, _stage
+from .gee import MarginalModelSpec, fit_weighted_gee
 from .riskset import RiskStructure
 from .rng import substream
 from .weights import (SelectionSpec, WeightSet, balancing_weights,
@@ -111,27 +115,33 @@ def analyze_once(dataset: Dataset, config: AnalysisConfig, phi: float):
     return _run_stages(_DatasetStages(dataset, config), config, phi)
 
 
-def _run_stages(stages, config: AnalysisConfig, phi: float):
+class _Pass(tuple):
+    """The ``(GeeFit, WeightSet or None)`` pair of one pipeline pass, with
+    the visit model fit behind the weights as ``visit_model`` (None when
+    unweighted): :func:`analyze_once` returns a pair, and :func:`sweep`,
+    which calls it, keeps the visit model as well."""
+
+    def __new__(cls, fit, wset, visit_model):
+        self = super().__new__(cls, (fit, wset))
+        self.visit_model = visit_model
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.visit_model)
+
+
+def _run_stages(stages, config: AnalysisConfig, phi: float) -> _Pass:
     """The pipeline of :func:`analyze_once` over ``stages``, which computes
     each stage on one dataset or on one resample of it."""
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except ValidationError:
-            raise
-        except IrrvisError as exc:
-            raise PipelineError(name, phi, exc) from exc
-
     if config.weight_kind == "none":
-        fit = stage("marginal fit", lambda: stages.marginal(None))
-        return fit, None
+        fit = _stage("marginal fit", phi, lambda: stages.marginal(None))
+        return _Pass(fit, None, None)
 
-    q = stage("selection values", lambda: stages.selection(phi))
-    cox = stage("visit model fit", lambda: stages.visit_model(q))
-    wset = stage("weights", lambda: stages.weights(cox, q))
-    fit = stage("marginal fit", lambda: stages.marginal(wset.weights))
-    return fit, wset
+    q = _stage("selection values", phi, lambda: stages.selection(phi))
+    cox = _stage("visit model fit", phi, lambda: stages.visit_model(q))
+    wset = _stage("weights", phi, lambda: stages.weights(cox, q))
+    fit = _stage("marginal fit", phi, lambda: stages.marginal(wset.weights))
+    return _Pass(fit, wset, cox)
 
 
 class _DatasetStages:
@@ -361,10 +371,13 @@ _SWEEP_COLUMNS = ("phi", "term", "estimate", "se", "ci_lo", "ci_hi",
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Long-format sweep table: one row per (phi, term)."""
+    """Long-format sweep table: one row per (phi, term).  ``fits`` maps each
+    phi to the ``(CoxFit, WeightSet)`` of its point fit (both None when
+    unweighted), or to the PipelineError that stopped the point fit."""
 
     rows: tuple          # dicts keyed by _SWEEP_COLUMNS
     names: tuple
+    fits: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -372,12 +385,8 @@ class SweepResult:
             writer.writerow(_SWEEP_COLUMNS)
             for row in self.rows:
                 writer.writerow([
-                    repr(float(row["phi"])), row["term"],
-                    repr(float(row["estimate"])), repr(float(row["se"])),
-                    repr(float(row["ci_lo"])), repr(float(row["ci_hi"])),
-                    repr(float(row["weight_min"])),
-                    repr(float(row["weight_median"])),
-                    repr(float(row["weight_max"])),
+                    _format_float(row["phi"]), row["term"],
+                    *(_format_float(row[c]) for c in _SWEEP_COLUMNS[2:-1]),
                     int(row["converged"]),
                 ])
 
@@ -397,14 +406,18 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
     """Run the pipeline at every phi in the grid.
 
     A failure at one phi yields NaN rows flagged converged=0 there and
-    does not disturb the other grid points.
+    does not disturb the other grid points.  The result keeps each phi's
+    visit model fit and weights, or the PipelineError of a failed point
+    fit; a point fit whose standard errors fail keeps its fits.
     """
     names = tuple(config.model.xspec.names)
     rows = []
+    fits = {}
     prepared = None
     for phi in config.phi_grid:
         try:
-            fit, wset = analyze_once(dataset, config, phi)
+            fit, wset = point = analyze_once(dataset, config, phi)
+            fits[phi] = (point.visit_model, wset)
             if config.resampling.kind != "none" and prepared is None:
                 prepared = _Prepared(dataset, config)
             if config.resampling.kind == "jackknife":
@@ -414,13 +427,11 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
                                config.resampling.seed, _prepared=prepared).se
             else:
                 se = np.full(len(names), np.nan)
-        except NumericError:
-            nan = float("nan")
-            for term in names:
-                rows.append(dict(phi=phi, term=term, estimate=nan, se=nan,
-                                 ci_lo=nan, ci_hi=nan, weight_min=nan,
-                                 weight_median=nan, weight_max=nan,
-                                 converged=False))
+        except NumericError as exc:
+            fits.setdefault(phi, exc)
+            failed = dict.fromkeys(_SWEEP_COLUMNS, float("nan"))
+            rows.extend({**failed, "phi": phi, "term": term, "converged": False}
+                        for term in names)
             continue
         w_min, w_med, w_max = _weight_summary(wset)
         for j, term in enumerate(names):
@@ -430,4 +441,4 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
                              ci_lo=est - _CI_Z * se_j, ci_hi=est + _CI_Z * se_j,
                              weight_min=w_min, weight_median=w_med,
                              weight_max=w_max, converged=True))
-    return SweepResult(tuple(rows), names)
+    return SweepResult(tuple(rows), names, fits)

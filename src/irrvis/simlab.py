@@ -42,7 +42,7 @@ import numpy as np
 
 from ._newton import maximize
 from .cox import fit_cox
-from .data import Dataset
+from .data import Dataset, _format_float
 from .design import ModelMatrixSpec
 from .errors import IrrvisError, NumericError, ValidationError
 from .gee import MarginalModelSpec, fit_weighted_gee
@@ -344,9 +344,9 @@ class MetricsTable:
             writer.writerow(["estimator", "parameter", "bias", "sd", "rmse",
                              "mc_se_bias", "n_failed"])
             for r in self.rows:
+                floats = (r[k] for k in ("bias", "sd", "rmse", "mc_se_bias"))
                 writer.writerow([r["estimator"], r["parameter"],
-                                 repr(r["bias"]), repr(r["sd"]), repr(r["rmse"]),
-                                 repr(r["mc_se_bias"]), r["n_failed"]])
+                                 *map(_format_float, floats), r["n_failed"]])
 
 
 def _weight_phi(cfg: ScenarioConfig) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._newton import is_positive_definite, maximize
 from .cox import CoxFit, QValues
-from .data import Dataset
+from .data import Dataset, _format_float
 from .design import ModelMatrixSpec, bind
 from .errors import (BalanceInfeasibleError, NumericError, RankDeficiencyError,
                      ValidationError)
@@ -302,7 +302,7 @@ def export_weights(dataset: Dataset, ws: WeightSet, path) -> None:
         for i, row in enumerate(visit_rows):
             writer.writerow([
                 dataset.patient_ids[dataset.patient_index[row]],
-                repr(float(dataset.end[row])),
-                repr(float(ws.weights[i])),
+                _format_float(dataset.end[row]),
+                _format_float(ws.weights[i]),
                 ws.kind,
             ])

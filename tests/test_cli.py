@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 import yaml
 
@@ -135,6 +137,74 @@ def test_weights_rerun_is_byte_identical(tmp_path):
     for name in ("cox_phi0.25.csv", "weights_phi0.25.csv",
                  "balance_phi0.25.csv", "manifest.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("section", [
+    {"kind": "mle", "z_terms": ["z1"]},
+    {"kind": "mle", "z_terms": ["z1"], "h_terms": ["1", "z1"]},
+    {"kind": "balancing", "z_terms": ["z1"], "h_terms": ["1", "z1"]},
+], ids=["mle", "mle_h_terms", "balancing"])
+def test_analyze_artifacts_match_weights_command(tmp_path, section):
+    grid = [0.0, 0.25, 0.5]
+    analyze = {"weight_kind": section["kind"], "x_terms": ["1", "z1"],
+               "phi_grid": grid}
+    analyze.update({k: v for k, v in section.items() if k != "kind"})
+    data = panel_csv(tmp_path, n_patients=16)
+    cfg = write_config(tmp_path / "a.yaml", {"input": data, "analyze": analyze})
+    out = tmp_path / "analyze"
+    assert run("analyze", "--config", cfg, "--output", str(out)) == 0
+    names = ["cox", "weights"] + (["balance"] if "h_terms" in section else [])
+    for phi in grid:
+        cfg_w = write_config(tmp_path / "w.yaml", {
+            "input": data, "weights": {**section, "phi": phi}})
+        out_w = tmp_path / f"weights{phi:g}"
+        assert run("weights", "--config", cfg_w, "--output", str(out_w)) == 0
+        for name in names:
+            file = f"{name}_phi{phi:g}.csv"
+            assert (out / file).read_bytes() == (out_w / file).read_bytes()
+    assert len(list(out.glob("*_phi*.csv"))) == len(names) * len(grid)
+
+
+def test_analyze_skips_artifacts_of_a_failed_phi(tmp_path, caplog):
+    # exp(-200 y) overflows at some visit, so phi = 200 fails its point fit
+    data = tmp_path / "panel.csv"
+    export_csv(random_panel(1, n_patients=16, p_visit=0.4, outcome_sd=5.0),
+               data)
+    cfg = write_config(tmp_path / "a.yaml", {
+        "input": str(data),
+        "analyze": {"weight_kind": "mle", "z_terms": ["z1"],
+                    "h_terms": ["1", "z1"], "x_terms": ["1", "z1"],
+                    "phi_grid": [0.0, 0.5, 200.0]},
+    })
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="irrvis"):
+        assert run("analyze", "--config", cfg, "--output", str(out)) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    failed = [l.split(",") for l in lines if l.startswith("200.0,")]
+    assert len(failed) == 2
+    assert all(f[2] == "nan" and f[-1] == "0" for f in failed)
+    assert all(l.endswith(",1") for l in lines if not l.startswith("200.0,"))
+    for name in ("cox", "weights", "balance"):
+        assert not (out / f"{name}_phi200.csv").exists()
+        for tag in ("0", "0.5"):
+            assert (out / f"{name}_phi{tag}.csv").exists()
+    warning = [r.getMessage() for r in caplog.records
+               if r.levelno == logging.WARNING]
+    assert len(warning) == 1
+    assert "stage 'selection values' failed at phi=200" in warning[0]
+    assert "no artifact files written" in warning[0]
+
+
+@pytest.mark.parametrize("terms", [["nosuch"], [1, "z1"]])
+def test_calibrate_config_error_exits_1(tmp_path, capsys, terms):
+    cfg = write_config(tmp_path / "c.yaml", {
+        "input": panel_csv(tmp_path, n_patients=30, n_periods=6),
+        "calibrate": {"z_terms": terms},
+    })
+    assert run("calibrate", "--config", cfg, "--output", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("irrvis:")
+    assert "stage" not in err
 
 
 def test_unknown_section_key_names_it(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -254,6 +256,44 @@ def test_sweep_isolates_failures_per_phi():
     assert all(not r["converged"] for r in by_phi[200.0])
     assert all(np.isnan(r["estimate"]) for r in by_phi[200.0])
     assert all(np.isnan(r["weight_median"]) for r in by_phi[200.0])
+
+
+def test_sweep_keeps_point_fits_and_failures():
+    ds = overflow_dataset()
+    cfg = mle_config(phi_grid=(0.0, 1.0, 200.0))
+    res = sweep(ds, cfg)
+    assert list(res.fits) == [0.0, 1.0, 200.0]
+    for phi in (0.0, 1.0):
+        cox, wset = res.fits[phi]
+        q = q_values(ds, cfg.selection, phi)
+        want = fit_cox(ds, cfg.zspec, q)
+        assert np.array_equal(cox.gamma, want.gamma)
+        assert np.array_equal(cox.increments, want.increments)
+        assert np.array_equal(wset.weights, mle_weights(want, ds, q).weights)
+    failure = res.fits[200.0]
+    assert isinstance(failure, PipelineError)
+    assert failure.stage == "selection values"
+    # a point fit whose jackknife fails keeps its fits beside its NaN rows
+    rows = grid_rows("a", {"z1": 1.0}, {1: 0.5, 3: 1.0})
+    rows += grid_rows("b", {"z1": -1.0}, {2: 0.0, 3: 1.5})
+    res = sweep(Dataset.from_rows(rows, tau=4.0),
+                mle_config(resampling=Resampling("jackknife")))
+    assert not any(r["converged"] for r in res.rows)
+    cox, wset = res.fits[0.0]
+    assert cox.names == ("z1",) and wset.kind == "mle"
+    assert sweep(ds, none_config()).fits == {0.0: (None, None)}
+
+
+def test_analyze_once_pair_keeps_its_visit_model_through_pickle():
+    ds = random_panel(2, n_patients=10)
+    result = analyze_once(ds, mle_config(), 0.4)
+    fit, wset = pickle.loads(pickle.dumps(result))
+    assert len(result) == 2
+    assert np.array_equal(fit.beta, result[0].beta)
+    assert np.array_equal(wset.weights, result[1].weights)
+    cox = copy.copy(result).visit_model
+    assert np.array_equal(cox.gamma, wset.gamma)
+    assert analyze_once(ds, none_config(), 0.0).visit_model is None
 
 
 def test_sweep_does_not_absorb_validation_errors():
