@@ -7,7 +7,10 @@ by solving
 
 with an independence working correlation, one term per visit row.  The
 weights carry the visit-process correction; the equations are homogeneous
-in them, so their scale is irrelevant.
+in them, so their scale does not move the root.  It does move Fisher
+scoring's stopping point, since the tolerance applies to the equations as
+weighted: scaling the weights by c may change a log-link estimate by
+about ``|H^-1| * TOL * (1 + 1/c)``, ``H`` the information per patient.
 
 Identity link with constant variance reduces to weighted least squares and
 is solved in closed form.  Other combinations use Fisher scoring, damped

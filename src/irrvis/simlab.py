@@ -7,6 +7,12 @@ with fitted weights, inverse-intensity with balancing weights) over
 replicated datasets; and scores bias, SD and RMSE against the known
 marginal coefficients.
 
+The complete-data estimator sees the outcome at every grid time.  Its
+marginal design (1, X, t) has only 2 * N_GRID distinct rows, so both the
+per-replicate estimator and the large :func:`complete_data_fit` are fit
+from per-(X, t) cell sums (:func:`_cell_fit`); no complete-data dataset
+is built during a study.
+
 Each patient visits at grid step t = 0.01, ..., 5.00 with probability
 ``min(1, exp(alpha(t) + gamma' z + phi * S(y)))``, ``alpha(t) = -3.05 - 2t``.
 That is a proportional visit intensity only where the cap does not bind,
@@ -45,7 +51,8 @@ from .cox import fit_cox
 from .data import Dataset, _format_float
 from .design import ModelMatrixSpec
 from .errors import IrrvisError, NumericError, ValidationError
-from .gee import MarginalModelSpec, fit_weighted_gee
+from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
+from .gee import _fit as _fit_marginal
 from .rng import substream
 from .weights import SelectionSpec, balancing_weights, mle_weights, q_values
 
@@ -165,18 +172,24 @@ def _panel_dataset(x, z1, z2, z1s, z2s, y, visit) -> Dataset:
                    tau=TAU, validate=False)
 
 
+def _replicate(cfg: ScenarioConfig, rep: int):
+    """Replicate ``rep``'s draws and the observed dataset built from them."""
+    draws = _draw_panel(cfg, substream(cfg.seed, rep), cfg.n)
+    x, z1, z2, y, s_y, visit, z1s, z2s = draws
+    return draws, _panel_dataset(x, z1, z2, z1s, z2s, y, visit)
+
+
 def generate(cfg: ScenarioConfig, rep: int):
     """Generate replicate ``rep``: returns (observed, complete) datasets.
 
     The observed dataset keeps the outcome at visit rows only.  The
-    complete companion marks every grid row as a visit with its outcome,
-    which is what the complete-data reference estimator consumes.
+    complete companion marks every grid row as a visit with its outcome.
+    Both come from the one draw of the replicate that :func:`run_study`
+    uses; the study itself builds only the observed dataset and fits the
+    complete-data estimator from per-(X, t) cell sums of the same draws.
     """
-    rng = substream(cfg.seed, rep)
-    x, z1, z2, y, s_y, visit, z1s, z2s = _draw_panel(cfg, rng, cfg.n)
-    observed = _panel_dataset(x, z1, z2, z1s, z2s, y, visit)
-    all_rows = np.ones_like(visit)
-    complete = _panel_dataset(x, z1, z2, z1s, z2s, y, all_rows)
+    (x, z1, z2, y, _, visit, z1s, z2s), observed = _replicate(cfg, rep)
+    complete = _panel_dataset(x, z1, z2, z1s, z2s, y, np.ones_like(visit))
     return observed, complete
 
 
@@ -284,43 +297,60 @@ def limiting_phi(cfg: ScenarioConfig, n_large: int = 100_000,
     return float(gamma[-1])
 
 
-def complete_data_fit(cfg: ScenarioConfig,
-                      n_large: int = 100_000) -> np.ndarray:
-    """Complete-data marginal fit on ``n_large`` fresh patients.
+def _cell_fit(blocks, model: MarginalModelSpec) -> GeeFit:
+    """Complete-data marginal fit from per-(X, t) cell sums.
 
-    The marginal design is (1, X, t) with X binary and t on the fixed
-    grid, and the independence estimating equations are linear in the
-    outcome within an (X, t) cell for every working variance used here.
-    Summing outcomes per cell while streaming therefore reproduces the
-    full-data fit exactly with 2 * N_GRID aggregated rows, which is what
-    makes this size feasible: memory holds one block's draws.  Patients
-    are drawn in blocks of :data:`_DRAW_BLOCK`, block ``c`` from its own
-    substream, so the result is fixed by ``cfg`` and ``n_large``.
-    Returns the coefficient vector.
+    ``blocks`` yields ``(x, y)`` pairs: the binary arm of each patient and
+    the ``(patients, N_GRID)`` outcomes at every grid time.  The marginal
+    design (1, X, t) has 2 * N_GRID distinct rows, and the independence
+    estimating equations are linear in the outcome within an (X, t) cell
+    for every working variance used here, so the fit on the cell means,
+    weighted by the cell sizes, solves the same equations as the fit on
+    every grid row of every patient.  The equations are normalized by the
+    number of patients, as the row fit's are, which keeps its stopping
+    rule.  The cells of an empty arm are dropped; the design is then rank
+    deficient and the fit raises :class:`~irrvis.errors.RankDeficiencyError`.
     """
     sums = np.zeros((2, N_GRID))
     n_arm = np.zeros(2)
-    for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
-        m = min(_DRAW_BLOCK, n_large - lo)
-        rng = substream(cfg.seed, _TRUTH_STREAM_BASE + c)
-        x, z1, z2, y, s_y, v, z1s, z2s = _draw_panel(cfg, rng, m)
-        arm = x[:, 0].astype(np.intp)
+    for x, y in blocks:
+        arm = x.ravel().astype(np.intp)
         for a in (0, 1):
             block = y[arm == a]
             if block.size:
                 sums[a] += block.sum(axis=0)
         n_arm += np.bincount(arm, minlength=2)
-    cells = 2 * N_GRID
-    pidx = np.arange(cells, dtype=np.int32)
-    end = np.tile(GRID_TIMES, 2)
-    cov = np.repeat([0.0, 1.0], N_GRID)[:, None]
-    counts = np.repeat(n_arm, N_GRID)
-    agg = Dataset(list(range(cells)), pidx, np.zeros(cells), end,
-                  np.ones(cells, dtype=bool), np.ones(cells, dtype=bool),
-                  (sums / n_arm[:, None]).ravel(), cov, ("x",),
-                  tau=TAU, validate=False)
-    fit = fit_weighted_gee(agg, cfg.marginal_model(), counts)
-    return fit.beta
+    present = n_arm > 0
+    arms = np.flatnonzero(present).astype(np.float64)
+    design = np.column_stack((np.ones(arms.size * N_GRID),
+                              np.repeat(arms, N_GRID),
+                              np.tile(GRID_TIMES, arms.size)))
+    means = (sums[present] / n_arm[present, None]).ravel()
+    counts = np.repeat(n_arm[present], N_GRID)
+    return _fit_marginal(design, means, counts, model, int(n_arm.sum()))
+
+
+def complete_data_fit(cfg: ScenarioConfig,
+                      n_large: int = 100_000) -> np.ndarray:
+    """Complete-data marginal fit on ``n_large`` fresh patients.
+
+    The fit runs on per-(X, t) cell sums (see :func:`_cell_fit`, which
+    also fits each replicate's complete-data estimator in
+    :func:`run_study`), so memory holds one block's draws.  Patients are
+    drawn in blocks of :data:`_DRAW_BLOCK`, block ``c`` from its own
+    substream, so the result is fixed by ``cfg`` and ``n_large``.  An arm
+    with no patient, possible at tiny ``n_large``, raises
+    :class:`~irrvis.errors.RankDeficiencyError`.  Returns the coefficient
+    vector.
+    """
+    def blocks():
+        for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
+            m = min(_DRAW_BLOCK, n_large - lo)
+            rng = substream(cfg.seed, _TRUTH_STREAM_BASE + c)
+            x, _, _, y, *_ = _draw_panel(cfg, rng, m)
+            yield x, y
+
+    return _cell_fit(blocks(), cfg.marginal_model()).beta
 
 
 # -- study harness -----------------------------------------------------------
@@ -328,7 +358,8 @@ def complete_data_fit(cfg: ScenarioConfig,
 
 @dataclass
 class MetricsTable:
-    """Bias / SD / RMSE per (estimator, parameter) with MC standard errors."""
+    """Bias / SD / RMSE per (estimator, parameter) with the MC standard
+    error of the bias."""
 
     rows: list
     n_reps: int
@@ -363,7 +394,7 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
 
     Estimates are (x, t) coefficient pairs; failed estimators map to None.
     """
-    observed, complete = generate(cfg, rep)
+    (x, _, _, y, *_), observed = _replicate(cfg, rep)
     model = cfg.marginal_model()
     out: dict = {}
     residual = None
@@ -373,7 +404,7 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
 
     if "complete" in estimators:
         try:
-            out["complete"] = coef(fit_weighted_gee(complete, model))
+            out["complete"] = coef(_cell_fit([(x, y)], model))
         except IrrvisError:
             out["complete"] = None
     if "naive" in estimators:
@@ -430,7 +461,10 @@ def run_study(cfg: ScenarioConfig, threads: Optional[int] = None,
 
     Replicates are independent (stream-keyed by replicate index) and may
     run in parallel; aggregation orders by replicate index, so the result
-    is a pure function of ``cfg`` whatever the thread count.
+    is a pure function of ``cfg`` whatever the thread count.  Each
+    replicate draws the panel of :func:`generate` once and builds only its
+    observed dataset; the complete-data estimator is fit from per-(X, t)
+    cell sums of the same draws, not from the complete companion.
     """
     for e in estimators:
         if e not in ESTIMATORS:
@@ -474,18 +508,11 @@ def run_study(cfg: ScenarioConfig, threads: Optional[int] = None,
             err = vals[:, j] - truth[j]
             bias = float(err.mean())
             sd = float(vals[:, j].std(ddof=1)) if n_ok > 1 else 0.0
-            sq = err ** 2
-            rmse = float(np.sqrt(sq.mean()))
+            rmse = float(np.sqrt((err ** 2).mean()))
             mc_se_bias = sd / np.sqrt(n_ok) if n_ok > 1 else float("nan")
-            mc_se_sd = sd / np.sqrt(2.0 * (n_ok - 1)) if n_ok > 1 else float("nan")
-            if rmse > 0 and n_ok > 1:
-                mc_se_rmse = float(sq.std(ddof=1) / (2.0 * rmse * np.sqrt(n_ok)))
-            else:
-                mc_se_rmse = float("nan")
             rows.append({
                 "estimator": e, "parameter": param, "bias": bias, "sd": sd,
                 "rmse": rmse, "mc_se_bias": float(mc_se_bias),
-                "mc_se_sd": float(mc_se_sd), "mc_se_rmse": mc_se_rmse,
                 "n_failed": n_failed[e],
             })
     max_resid = max(residuals) if residuals else None

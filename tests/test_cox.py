@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import grid_rows, random_panel
-from irrvis import (Dataset, ModelMatrixSpec, QValues, RankDeficiencyError,
+from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec, QValues,
+                    RankDeficiencyError,
                     ScenarioConfig, SeparationError, ValidationError,
                     breslow_increments, fit_cox, generate)
 
@@ -210,3 +213,61 @@ def test_cumulative_baseline_on_simulated_panel():
     total = float(fit.increments.sum())
     truth = float(np.sum(np.exp(-3.05 - 2.0 * np.arange(1, 501) * 0.01)))
     assert abs(total - truth) / truth < 0.10
+
+
+def fixed_covariate_panel(visits, ends, z, tau):
+    """Patient ``i`` is at risk on ``(0, ends[i]]`` with covariates ``z[i]``
+    and visits at ``visits[i]``; its at-risk span is split only at them."""
+    rows = []
+    for i, (times, end) in enumerate(zip(visits, ends)):
+        cov = {"z1": float(z[i, 0]), "z2": float(z[i, 1])}
+        start = 0.0
+        for v in times:
+            rows.append(CountingProcessRow(i, start, v, True, True, 0.0, cov))
+            start = v
+        rows.append(CountingProcessRow(i, start, end, True, False, None, cov))
+        if end < tau:
+            rows.append(CountingProcessRow(i, end, tau, False, False, None, cov))
+    return Dataset.from_rows(rows, tau=tau)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(8, 16))
+def test_splitting_a_tie_leaves_the_visit_fit_unchanged(seed, n):
+    # visits fall on the integers 1..9 and at-risk spans end at k + 0.75 or
+    # at tau = 10, so with delta = 0.5 no event time and no row end lies in
+    # (s, s + delta]: moving one of two tied visits from s to s + delta
+    # keeps every risk set, and only the tie at s is split
+    rng = np.random.default_rng(seed)
+    tau = 10.0
+    last = rng.integers(2, 11, n)
+    ends = np.where(last < 10, last + 0.75, tau)
+    visits = [[float(k) for k in range(1, min(m, 9) + 1) if rng.random() < 0.4]
+              for m in last]
+    s = int(rng.integers(1, 10))
+    eligible = np.flatnonzero(last >= s)
+    if eligible.size < 2:
+        s, eligible = 1, np.arange(n)
+    a, b = rng.choice(eligible, 2, replace=False)
+    for i in (a, b):
+        visits[i] = sorted(set(visits[i]) | {float(s)})
+    split = [list(v) for v in visits]
+    split[a] = [v + 0.5 if v == s else v for v in split[a]]
+    z = rng.normal(size=(n, 2))
+    pooled_ds = fixed_covariate_panel(visits, ends, z, tau)
+    split_ds = fixed_covariate_panel(split, ends, z, tau)
+    # the visit rows keep their order, so one Q array serves both
+    q = QValues(phi=0.2, values=rng.uniform(0.5, 2.0, int(pooled_ds.visit.sum())))
+    spec = ModelMatrixSpec(["z1", "z2"])
+    pooled = fit_cox(pooled_ds, spec, q)
+    parted = fit_cox(split_ds, spec, q)
+    scale = np.max(np.abs(pooled.gamma))
+    assert np.max(np.abs(parted.gamma - pooled.gamma)) <= 1e-10 * scale
+    k = int(np.searchsorted(pooled.event_times, s))
+    assert np.array_equal(parted.event_times,
+                          np.insert(pooled.event_times, k + 1, s + 0.5))
+    both = parted.increments[k] + parted.increments[k + 1]
+    assert both == pytest.approx(pooled.increments[k], rel=1e-10, abs=0.0)
+    others = np.delete(parted.increments, k + 1)
+    others[k] = pooled.increments[k]
+    np.testing.assert_allclose(others, pooled.increments, rtol=1e-10, atol=0.0)

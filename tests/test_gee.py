@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import grid_rows, random_panel
 from irrvis import (Dataset, CountingProcessRow, MarginalModelSpec,
                     ModelMatrixSpec, NumericError, RankDeficiencyError,
                     ValidationError, estimate_dispersion, fit_weighted_gee)
+from irrvis._newton import TOL
 from irrvis.design import build_design
 
 
@@ -77,6 +80,37 @@ def test_weight_scale_invariance():
     a = fit_weighted_gee(ds, model, weights=w)
     b = fit_weighted_gee(ds, model, weights=17.5 * w)
     assert np.allclose(a.beta, b.beta, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), log_c=st.floats(-3.0, 3.0))
+@pytest.mark.parametrize("link, variance", [("identity", "constant"),
+                                            ("log", "poisson")])
+def test_estimates_do_not_depend_on_weight_scale(link, variance, seed, log_c):
+    if link == "identity":
+        ds = random_panel(seed, n_patients=8, n_periods=4)
+        terms = ["1", "z1", "t"]
+    else:
+        ds = count_panel(seed, n_patients=30)
+        terms = ["1", "z", "t"]
+    model = MarginalModelSpec(ModelMatrixSpec(terms), link=link, variance=variance)
+    w = np.random.default_rng(seed).uniform(0.2, 3.0, int(ds.visit.sum()))
+    c = 10.0 ** log_c
+    a = fit_weighted_gee(ds, model, weights=w).beta
+    b = fit_weighted_gee(ds, model, weights=c * w).beta
+    if link == "identity":
+        # closed form: the weights cancel up to rounding
+        assert np.max(np.abs(b - a)) <= 1e-9 * np.max(np.abs(a))
+        return
+    # Fisher scoring stops once max|u| / n <= TOL for the equations u of
+    # the weights it is given, so the equations of the unscaled weights are
+    # only known to be below TOL / c at b: the estimates may differ by
+    # about |H^-1|_inf TOL (1 + 1 / c), H the information per patient.
+    # At c = 1e-3 that is up to 2e-6 relative, so relative 1e-9 fails.
+    x, _ = build_design(ds, model.xspec, subset="visits")
+    info = (x.T * (w * np.exp(x @ a))) @ x / ds.n_patients
+    kappa = np.abs(np.linalg.inv(info)).sum(axis=1).max()
+    assert np.max(np.abs(b - a)) <= kappa * TOL * (1.0 + 1.0 / c)
 
 
 # -- log link ----------------------------------------------------------------

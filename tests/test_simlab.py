@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from irrvis import (MetricsTable, ScenarioConfig, ValidationError,
-                    complete_data_fit, generate, limiting_phi, run_study)
-from irrvis.simlab import GRID_TIMES, TAU, TRUE_BETA, _weight_phi
+from irrvis import (MetricsTable, RankDeficiencyError, ScenarioConfig,
+                    ValidationError, complete_data_fit, fit_weighted_gee,
+                    generate, limiting_phi, run_study)
+from irrvis.simlab import (GRID_TIMES, TAU, TRUE_BETA, _run_replicate,
+                           _weight_phi)
 
 
 def cont_cfg(**kw):
@@ -273,3 +275,39 @@ def test_complete_data_fit_deterministic_and_near_truth():
     assert beta[0] == pytest.approx(5.0, abs=0.05)
     assert beta[1] == pytest.approx(-4.5, abs=0.05)
     assert beta[2] == pytest.approx(-0.5, abs=0.01)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("outcome", ["count", "continuous"])
+def test_complete_data_fit_with_an_empty_arm_is_rank_deficient(outcome):
+    # one patient leaves an arm empty: its cells are dropped, not divided
+    # by zero, and the design (1, x, t) loses its rank
+    cfg = cont_cfg(outcome=outcome, seed=1)
+    with pytest.raises(RankDeficiencyError, match="rank deficient"):
+        complete_data_fit(cfg, n_large=1)
+
+
+@pytest.mark.parametrize("outcome, n, seed", [("count", 150, 3),
+                                              ("continuous", 120, 4)])
+def test_replicate_cell_fit_equals_row_fit(outcome, n, seed):
+    cfg = cont_cfg(outcome=outcome, n=n, seed=seed)
+    for rep in range(2):
+        est, _ = _run_replicate(cfg, rep, 0.0, ("complete",))
+        row = fit_weighted_gee(generate(cfg, rep)[1], cfg.marginal_model())
+        np.testing.assert_allclose(est["complete"], row.beta[1:],
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_complete_estimator_fails_where_an_arm_is_empty():
+    # both patients share one arm in replicates 2 (x = 1) and 3 (x = 0)
+    cfg = cont_cfg(outcome="count", n=2, n_reps=4, seed=1)
+    arms = [set(generate(cfg, r)[0].covariate_column("x")) for r in range(4)]
+    assert arms == [{0.0, 1.0}, {0.0, 1.0}, {1.0}, {0.0}]
+    for rep in (2, 3):
+        with pytest.raises(RankDeficiencyError):
+            fit_weighted_gee(generate(cfg, rep)[1], cfg.marginal_model())
+    with pytest.warns(UserWarning, match="2 of 4 replicates failed"):
+        table = run_study(cfg, threads=1, estimators=("complete",))
+    assert table.n_failed["complete"] == 2
+    assert np.isnan(table.estimates["complete"][2:]).all()
+    assert np.isfinite(table.estimates["complete"][:2]).all()
