@@ -15,6 +15,8 @@ structure-of-arrays form, which is what the fitting routines consume.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
@@ -253,6 +255,10 @@ class Dataset:
 
 # -- CSV boundary ----------------------------------------------------------
 
+# Lines np.loadtxt skips without a word; the row-by-row reading rejects them
+# as records of no cells.
+_EMPTY_LINES = ("\n", "\r\n", "\r")
+
 
 def _parse_bool(text: str, column: str, line: int) -> bool:
     if text == "0":
@@ -262,15 +268,91 @@ def _parse_bool(text: str, column: str, line: int) -> bool:
     raise ValidationError(f"line {line}: column {column!r} must be 0 or 1, got {text!r}")
 
 
+def _number(text: str) -> float:
+    # float() without its underscores and non-ASCII digits: the grammar of
+    # np.loadtxt's reader, so both readings of a file accept the same cells
+    core = text.strip()
+    if not core.isascii() or "_" in core:
+        raise ValueError(text)
+    return float(core)
+
+
 def _parse_float(text: str, column: str, line: int) -> float:
     try:
-        value = float(text)
+        value = _number(text)
     except ValueError:
         raise ValidationError(
             f"line {line}: column {column!r} has non-numeric value {text!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"line {line}: column {column!r} is not finite")
     return value
+
+
+def _noting_empty_lines(lines, empty: list):
+    """Yield ``lines``, appending each empty one to ``empty``."""
+    for text in lines:
+        if text in _EMPTY_LINES:
+            empty.append(text)
+        yield text
+
+
+def _raise_first_bad_cell(path, n_cells, positions, colmap, cov_cols) -> None:
+    """Raise the error of the first bad record or cell of the file, in row order.
+
+    Returns if every record parses.
+    """
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line, rec in enumerate(reader, start=2):
+            if len(rec) != n_cells:
+                raise ValidationError(f"line {line}: expected {n_cells} cells, got {len(rec)}")
+            for key in ("start", "end"):
+                _parse_float(rec[positions[key]], colmap[key], line)
+            for key in ("at_risk", "visit"):
+                _parse_bool(rec[positions[key]], colmap[key], line)
+            cell = rec[positions["outcome"]].strip()
+            if cell != "":
+                _parse_float(cell, colmap["outcome"], line)
+            for name, j in cov_cols:
+                _parse_float(rec[j], name, line)
+
+
+def _flags(cells: np.ndarray, key: str) -> np.ndarray:
+    flag = cells == "1"
+    if not (flag | (cells == "0")).all():
+        raise ValueError(f"column {key!r} holds a value other than 0 or 1")
+    return flag
+
+
+def _columns(lines, n_cells, positions, cov_cols) -> tuple:
+    """``(patient ids, start, end, at_risk, visit, outcome, covariates)``.
+
+    The body is parsed in one ``np.loadtxt`` call.  Raises ValueError where
+    the row-by-row reading would reject a cell.
+    """
+    numeric = {positions["start"], positions["end"], *(j for _, j in cov_cols)}
+    table = np.loadtxt(lines, dtype=[(f"c{j}", np.float64 if j in numeric else object)
+                                     for j in range(n_cells)],
+                       delimiter=",", quotechar='"', comments=None, ndmin=1)
+
+    def column(key):
+        return table[f"c{positions[key]}"]
+
+    start, end = column("start"), column("end")
+    cov = np.empty((table.shape[0], len(cov_cols)))
+    for k, (_, j) in enumerate(cov_cols):
+        cov[:, k] = table[f"c{j}"]
+    cells = [text.strip() for text in column("outcome").tolist()]
+    present = np.fromiter(map(bool, cells), bool, count=len(cells))
+    outcome = np.full(len(cells), np.nan)
+    outcome[present] = [_number(text) for text in cells if text]
+    if not (np.isfinite(start).all() and np.isfinite(end).all()
+            and np.isfinite(cov).all() and np.isfinite(outcome[present]).all()):
+        raise ValueError("non-finite value")
+    return (column("patient_id").tolist(), start, end,
+            _flags(column("at_risk"), "at_risk"), _flags(column("visit"), "visit"),
+            outcome, cov)
 
 
 def load_csv(path, schema: Optional[Mapping[str, str]] = None) -> Dataset:
@@ -285,8 +367,14 @@ def load_csv(path, schema: Optional[Mapping[str, str]] = None) -> Dataset:
         used in the file.  Unmapped fields keep their canonical name.
         Every remaining column is treated as a covariate, in file order.
 
-    Booleans must be literally ``0`` or ``1``; the outcome cell must be
-    empty on rows without a visit.
+    Cells are split by the ``csv`` module's default rules: ``,`` between
+    cells, ``"`` quotes a cell and ``""`` is a quote inside one.  Numbers
+    are ASCII decimal or exponent literals (``float`` syntax without
+    ``_``), optionally quoted or padded with spaces; non-finite values are
+    rejected.  Booleans must be literally ``0`` or ``1``; the outcome cell
+    must be empty on rows without a visit.  ``#`` has no special meaning,
+    and blank lines are rejected.  Errors name the first bad cell by line
+    and column.
     """
     colmap = dict.fromkeys(STRUCTURAL_COLUMNS)
     for k in STRUCTURAL_COLUMNS:
@@ -313,39 +401,34 @@ def load_csv(path, schema: Optional[Mapping[str, str]] = None) -> Dataset:
         cov_cols = [(name, j) for j, name in enumerate(header) if j not in structural]
         names = tuple(name for name, _ in cov_cols)
 
-        ids: list = []
-        id_pos: dict = {}
-        pidx_l, start_l, end_l, risk_l, visit_l, out_l, cov_l = [], [], [], [], [], [], []
-        for line, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise ValidationError(f"line {line}: expected {len(header)} cells, got {len(rec)}")
-            pid = rec[positions["patient_id"]]
-            if pid not in id_pos:
-                id_pos[pid] = len(ids)
-                ids.append(pid)
-            pidx_l.append(id_pos[pid])
-            start_l.append(_parse_float(rec[positions["start"]], colmap["start"], line))
-            end_l.append(_parse_float(rec[positions["end"]], colmap["end"], line))
-            risk_l.append(_parse_bool(rec[positions["at_risk"]], colmap["at_risk"], line))
-            is_visit = _parse_bool(rec[positions["visit"]], colmap["visit"], line)
-            visit_l.append(is_visit)
-            cell = rec[positions["outcome"]].strip()
-            if cell == "":
-                out_l.append(np.nan)
-            else:
-                out_l.append(_parse_float(cell, colmap["outcome"], line))
-            cov_l.append([_parse_float(rec[j], name, line) for name, j in cov_cols])
-    if not pidx_l:
-        raise ValidationError("file has a header but no data rows")
-    pidx = np.array(pidx_l, dtype=np.int32)
-    start = np.array(start_l)
-    cov = np.array(cov_l, dtype=np.float64).reshape(len(pidx_l), len(names))
+        first = next(fh, None)
+        if first is None:
+            raise ValidationError("file has a header but no data rows")
+        empty = []
+        try:
+            if first in _EMPTY_LINES:
+                # loadtxt would warn of a file without data
+                raise ValueError("empty first line")
+            lines = _noting_empty_lines(itertools.chain([first], fh), empty)
+            pids, start, end, at_risk, visit, outcome, cov = _columns(
+                lines, len(header), positions, cov_cols)
+        except ValueError as exc:
+            failure = exc
+        else:
+            failure = None
+    if failure is not None or empty:
+        _raise_first_bad_cell(path, len(header), positions, colmap, cov_cols)
+        if failure is not None:
+            raise ValidationError(f"unreadable CSV body: {failure}")
+    # past here, every empty line sat inside a quoted cell
+
+    ids = list(dict.fromkeys(pids))
+    id_pos = {pid: k for k, pid in enumerate(ids)}
+    pidx = np.fromiter(map(id_pos.__getitem__, pids), np.int32, count=len(pids))
     order = np.lexsort((start, pidx))
-    return Dataset(ids, pidx[order], start[order], np.array(end_l)[order],
-                   np.array(risk_l, dtype=bool)[order],
-                   np.array(visit_l, dtype=bool)[order],
-                   np.array(out_l)[order], cov[order], names,
-                   tau=float(np.max(end_l)))
+    return Dataset(ids, pidx[order], start[order], end[order],
+                   at_risk[order], visit[order], outcome[order], cov[order],
+                   names, tau=float(np.max(end)))
 
 
 def _format_float(x: float) -> str:
@@ -354,18 +437,47 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+# rows formatted at a time by export_csv, bounding the memory its cell
+# strings take
+_EXPORT_BLOCK = 8192
+
+
+def _csv_cells(values) -> list:
+    """Each value as ``csv.writer`` writes it in a row, quoted where needed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        # a row of one empty cell would be written as '""'
+        writer.writerow((value, ""))
+        cells.append(buf.getvalue()[:-2])
+    return cells
+
+
+def _reprs(values: np.ndarray) -> list:
+    # _format_float of each value, without a call per value
+    return list(map(repr, values.tolist()))
+
+
 def export_csv(dataset: Dataset, path) -> None:
     """Write a dataset to CSV in the fixed boundary column order."""
+    ids = _csv_cells(dataset.patient_ids)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(STRUCTURAL_COLUMNS) + list(dataset.covariate_names))
-        for i in range(dataset.n_rows):
-            writer.writerow([
-                dataset.patient_ids[dataset.patient_index[i]],
-                _format_float(dataset.start[i]),
-                _format_float(dataset.end[i]),
-                "1" if dataset.at_risk[i] else "0",
-                "1" if dataset.visit[i] else "0",
-                _format_float(dataset.outcome[i]) if dataset.visit[i] else "",
-                *(_format_float(v) for v in dataset.covariates[i]),
-            ])
+        csv.writer(fh, lineterminator="\n").writerow(
+            list(STRUCTURAL_COLUMNS) + list(dataset.covariate_names))
+        for lo in range(0, dataset.n_rows, _EXPORT_BLOCK):
+            rows = slice(lo, lo + _EXPORT_BLOCK)
+            visit = dataset.visit[rows].tolist()
+            columns = [
+                list(map(ids.__getitem__, dataset.patient_index[rows].tolist())),
+                _reprs(dataset.start[rows]),
+                _reprs(dataset.end[rows]),
+                ["1" if v else "0" for v in dataset.at_risk[rows].tolist()],
+                ["1" if v else "0" for v in visit],
+                [repr(y) if v else ""
+                 for y, v in zip(dataset.outcome[rows].tolist(), visit)],
+                *(_reprs(c) for c in dataset.covariates[rows].T),
+            ]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

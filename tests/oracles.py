@@ -1,16 +1,19 @@
 """Reference implementations, independent of the package internals.
 
-Everything here favors directness over speed: explicit loops over rows and
-event times, finite differences instead of analytic derivatives, and
-derivative-free optimization from scipy.  The fitting code is checked
-against these, never the other way around.
+Everything here favors directness over speed: explicit loops over rows, CSV
+records and event times, finite differences instead of analytic
+derivatives, and derivative-free optimization from scipy.  The fitting code
+is checked against these, never the other way around.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
+
+from irrvis import Dataset, ValidationError
 
 
 def _design_row(dataset, row, time, colnames):
@@ -185,3 +188,98 @@ def nls_log(x, y, w):
     res = minimize(obj, start, jac=grad, method="BFGS",
                    options={"gtol": 1e-12, "maxiter": 2000})
     return res.x
+
+
+# -- CSV boundary ----------------------------------------------------------
+
+STRUCTURAL_COLUMNS = ("patient_id", "start", "end", "at_risk", "visit", "outcome")
+
+
+def _cell_bool(text, column, line):
+    if text == "0":
+        return False
+    if text == "1":
+        return True
+    raise ValidationError(f"line {line}: column {column!r} must be 0 or 1, got {text!r}")
+
+
+def _cell_float(text, column, line):
+    try:
+        if not text.strip().isascii() or "_" in text:
+            raise ValueError(text)
+        value = float(text)
+    except ValueError:
+        raise ValidationError(
+            f"line {line}: column {column!r} has non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"line {line}: column {column!r} is not finite")
+    return value
+
+
+def load_csv_rows(path, schema=None):
+    """``load_csv`` by a ``csv.reader`` loop, one cell parsed at a time."""
+    colmap = {k: k for k in STRUCTURAL_COLUMNS}
+    for key, col in (schema or {}).items():
+        if key not in STRUCTURAL_COLUMNS:
+            raise ValidationError(f"schema maps unknown field {key!r}")
+        colmap[key] = col
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError("empty file: missing header row") from None
+        if len(set(header)) != len(header):
+            raise ValidationError("duplicate column names in header")
+        positions = {}
+        for key in STRUCTURAL_COLUMNS:
+            if colmap[key] not in header:
+                raise ValidationError(f"missing required column {colmap[key]!r}")
+            positions[key] = header.index(colmap[key])
+        cov_cols = [(name, j) for j, name in enumerate(header)
+                    if j not in positions.values()]
+
+        ids, id_pos = [], {}
+        pidx, start, end, risk, visit, out, cov = [], [], [], [], [], [], []
+        for line, rec in enumerate(reader, start=2):
+            if len(rec) != len(header):
+                raise ValidationError(f"line {line}: expected {len(header)} cells, got {len(rec)}")
+            pid = rec[positions["patient_id"]]
+            if pid not in id_pos:
+                id_pos[pid] = len(ids)
+                ids.append(pid)
+            pidx.append(id_pos[pid])
+            start.append(_cell_float(rec[positions["start"]], colmap["start"], line))
+            end.append(_cell_float(rec[positions["end"]], colmap["end"], line))
+            risk.append(_cell_bool(rec[positions["at_risk"]], colmap["at_risk"], line))
+            visit.append(_cell_bool(rec[positions["visit"]], colmap["visit"], line))
+            cell = rec[positions["outcome"]].strip()
+            out.append(np.nan if cell == "" else _cell_float(cell, colmap["outcome"], line))
+            cov.append([_cell_float(rec[j], name, line) for name, j in cov_cols])
+    if not pidx:
+        raise ValidationError("file has a header but no data rows")
+    pidx = np.array(pidx, dtype=np.int32)
+    start = np.array(start)
+    cov = np.array(cov, dtype=np.float64).reshape(len(pidx), len(cov_cols))
+    order = np.lexsort((start, pidx))
+    return Dataset(ids, pidx[order], start[order], np.array(end)[order],
+                   np.array(risk, dtype=bool)[order], np.array(visit, dtype=bool)[order],
+                   np.array(out)[order], cov[order], [name for name, _ in cov_cols],
+                   tau=float(np.max(end)))
+
+
+def export_csv_rows(dataset, path):
+    """``export_csv`` by a ``csv.writer`` row per dataset row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(STRUCTURAL_COLUMNS) + list(dataset.covariate_names))
+        for i in range(dataset.n_rows):
+            writer.writerow([
+                dataset.patient_ids[dataset.patient_index[i]],
+                repr(float(dataset.start[i])),
+                repr(float(dataset.end[i])),
+                "1" if dataset.at_risk[i] else "0",
+                "1" if dataset.visit[i] else "0",
+                repr(float(dataset.outcome[i])) if dataset.visit[i] else "",
+                *(repr(float(v)) for v in dataset.covariates[i]),
+            ])
