@@ -192,7 +192,7 @@ def calibrate(dataset: Dataset, zspec: ModelMatrixSpec, sel_transform: str,
 
     # (d, e) covariate-free baseline: events over risk-set size
     d_k = rs.pooled_visit_sum(np.ones(rs.visit_rows.size))
-    r_k = rs.event_sum(np.ones(rs.cover_event.size))
+    r_k = rs.event_counts
     log_p_null = np.log(d_k / r_k)[rs.cover_event]
     var_null = float(log_p_null.var(ddof=1)) if log_p_null.size > 1 else 0.0
     rho2_null = implicit_r2(var_null)

@@ -85,45 +85,57 @@ class _PartialLikelihood:
     """Objective, score and information for one risk structure, design and Q.
 
     ``z_cover`` holds the design on the structure's incidence pairs and
-    ``z_visit`` on its visit rows.
+    ``z_visit`` on its visit rows.  Evaluation works on ``z_cover.T``, a
+    ``(p, M)`` array that is C-contiguous when ``z_cover`` comes from
+    :meth:`BoundDesign.evaluate` (column-major), and on one ``(p + 1, M)``
+    workspace kept for the life of the likelihood.
     """
 
     def __init__(self, rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
                  q: np.ndarray):
         self.rs = rs
-        self.z_cover = z_cover
+        self.zt = z_cover.T
         self.z_visit = z_visit
         self.q = q
         self.a = rs.pooled_visit_sum(q)                          # A_k
         self.visit_score = q @ z_visit                           # sum_v Q z
         self.n = rs.n
+        # row 0: exp(eta - shift) per pair; rows 1..p: z times that
+        self.work = np.empty((self.zt.shape[0] + 1, self.zt.shape[1]))
+        # (gamma, S0, shift) of the latest evaluation, for breslow()
+        self.last = None
 
     def at(self, gamma: np.ndarray, need_hessian: bool = True):
-        eta_c = self.z_cover @ gamma
-        shift = eta_c.max() if eta_c.size else 0.0
-        e = np.exp(eta_c - shift)
-        s0 = self.rs.event_sum(e)
+        e, ze = self.work[0], self.work[1:]
+        np.matmul(gamma, self.zt, out=e)
+        shift = e.max()
+        e -= shift
+        np.exp(e, out=e)
+        np.multiply(self.zt, e, out=ze)
+        sums = self.rs.event_sum(self.work)
+        s0, s1 = sums[0], sums[1:]
         RiskStructure.check_positive(s0)
-        s1 = self.rs.event_sum_columns(e, self.z_cover)
+        self.last = (gamma.copy(), s0, shift)
         # the shift cancels: A_k log(S0 e^shift) contributes A_k shift,
         # matched by sum_v Q eta_v = sum over events of A_k * (mean eta)
         loglik = (self.q @ (self.z_visit @ gamma)
                   - self.a @ (np.log(s0) + shift)) / self.n
-        mean = s1 / s0[:, None]
-        score = (self.visit_score - self.a @ mean) / self.n
+        mean = s1 / s0
+        score = (self.visit_score - mean @ self.a) / self.n
         if not need_hessian:
             return loglik, score, None
-        u = e * (self.a / s0)[self.rs.cover_event]
-        second = (self.z_cover * u[:, None]).T @ self.z_cover
-        outer = (mean * self.a[:, None]).T @ mean
+        ze *= np.repeat(self.a / s0, self.rs.event_counts)
+        second = ze @ self.zt.T
+        outer = (mean * self.a) @ mean.T
         hessian = (second - outer) / self.n
         return loglik, score, hessian
 
     def breslow(self, gamma: np.ndarray) -> np.ndarray:
-        eta_c = self.z_cover @ gamma
-        shift = eta_c.max() if eta_c.size else 0.0
-        s0 = self.rs.event_sum(np.exp(eta_c - shift))
-        RiskStructure.check_positive(s0)
+        """Increments ``A_k / S0_k`` at ``gamma``, reusing the latest
+        evaluation when it was at ``gamma`` (a Newton solve's last one)."""
+        if self.last is None or not np.array_equal(self.last[0], gamma):
+            self.at(gamma, need_hessian=False)
+        _, s0, shift = self.last
         return self.a / (s0 * np.exp(shift))
 
 
@@ -164,9 +176,9 @@ def _fit(rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
     gamma = np.zeros(len(zspec))
 
     if len(zspec) == 0:
-        inc = pl.breslow(gamma)
-        return CoxFit(gamma, zspec.names, zspec, float(pl.at(gamma, False)[0]), 0.0,
-                      0, rs.event_times.copy(), inc)
+        loglik = float(pl.at(gamma, False)[0])
+        return CoxFit(gamma, zspec.names, zspec, loglik, 0.0, 0,
+                      rs.event_times.copy(), pl.breslow(gamma))
 
     def check(gamma, score, hessian, k):
         if k == 0:

@@ -240,7 +240,9 @@ class BoundDesign:
 
         ``times`` defaults to the rows' own interval endpoints.  Passing
         explicit times lets a caller evaluate a row's covariates at any
-        event time inside the row's interval.
+        event time inside the row's interval.  The result, shape
+        ``(rows, terms)``, is column-major: its transpose is a C-contiguous
+        ``(terms, rows)`` array, one row per term.
         """
         rows = np.asarray(rows)
         if times is None:
@@ -249,18 +251,18 @@ class BoundDesign:
             times = np.asarray(times, dtype=np.float64)
             if times.shape != rows.shape:
                 raise ValidationError("rows and times must have equal length")
-        out = np.empty((rows.shape[0], len(self.spec)), dtype=np.float64)
+        out = np.empty((len(self.spec), rows.shape[0]), dtype=np.float64)
         for j, term in enumerate(self.spec.terms):
             if term.kind == "const":
-                out[:, j] = 1.0
+                out[j] = 1.0
             elif term.kind == "interaction":
                 col = self._factor_values(dataset, term.factors[0], rows, times)
                 for f in term.factors[1:]:
                     col = col * self._factor_values(dataset, f, rows, times)
-                out[:, j] = col
+                out[j] = col
             else:
-                out[:, j] = self._factor_values(dataset, term, rows, times)
-        return out
+                out[j] = self._factor_values(dataset, term, rows, times)
+        return out.T
 
 
 def bind(dataset: Dataset, spec: ModelMatrixSpec, subset: str = "at_risk") -> BoundDesign:

@@ -166,6 +166,13 @@ class _DatasetStages:
         return fit_weighted_gee(self.dataset, self.config.model, weights=w)
 
 
+def _take_rows(design: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``ids`` of a column-major design, kept column-major as
+    :meth:`BoundDesign.evaluate` returns it, so that the fits run on the
+    same memory layout as on a dataset built from those rows."""
+    return np.take(design.T, ids, axis=1).T
+
+
 def _blocks(bounds: np.ndarray, patients: np.ndarray) -> np.ndarray:
     """Positions of the given patients' entries, patient by patient, in an
     array whose patient ``k`` holds positions ``bounds[k]:bounds[k+1]``."""
@@ -181,11 +188,14 @@ class _Prepared:
     A resample is a sequence of patient indices, possibly repeated; it
     stands for ``dataset.take_patients(indices)``.  The full dataset's
     :class:`RiskStructure` and the designs of every spec on its incidence
-    pairs and visit rows are built once.  Entries are grouped by patient,
-    so a resample's pairs, visit rows and at-risk rows are gathered patient
+    pairs and visit rows are built once.  Visit rows and at-risk rows are
+    grouped by patient; the event-major pairs are reached through
+    ``pair_order``, a permutation that groups them by patient.  So a
+    resample's pairs, visit rows and at-risk rows are gathered patient
     block by patient block, in the resample's order.  A spec with
     standardized terms is bound on each resample's own rows and evaluated
-    there instead, as :func:`analyze_once` on the resample would.
+    there instead, as :func:`analyze_once` on the resample would; its
+    full-data design is None.
     """
 
     def __init__(self, dataset: Dataset, config: AnalysisConfig):
@@ -201,7 +211,9 @@ class _Prepared:
         self.risk_rows = dataset.at_risk_row_indices()
         self.risk_bounds = np.searchsorted(self.risk_rows, bounds)
         self.rs = RiskStructure(dataset)
-        self.pair_bounds = np.searchsorted(self.rs.cover_row, bounds)
+        # patient-major, and within a patient in row order (then event)
+        self.pair_order = np.argsort(self.rs.cover_row, kind="stable")
+        self.pair_bounds = np.searchsorted(self.rs.cover_row[self.pair_order], bounds)
         self.z = self._full(config.zspec, "at_risk")
         if config.weight_kind == "balancing":
             self.h = self._full(config.balance.hspec, "at_risk")
@@ -238,21 +250,26 @@ class _ResampleStages:
         return BoundDesign(p.dataset, spec, "at_risk", rows)
 
     def _design(self, bound, full):
-        if bound.standardizes:
+        """The design on the resample's pairs and visit rows: gathered from
+        the full data's ``full``, or evaluated by ``bound`` where the spec
+        standardizes and ``full`` is None."""
+        if full is None:
             return self.rs.design(bound, self.prepared.dataset)
-        return (np.take(full[0], self.pairs, axis=0),
-                np.take(full[1], self.visits, axis=0))
+        return _take_rows(full[0], self.pairs), _take_rows(full[1], self.visits)
 
     def selection(self, phi):
         return weights._selection_factors(self.y, self.prepared.config.selection, phi)
 
     def visit_model(self, q):
         p = self.prepared
-        bound = self._bind(p.config.zspec)
-        self.rs, self.pairs = p.rs.subset(_blocks(p.pair_bounds, self.patients),
-                                          self.visits, self.n)
+        zspec = p.config.zspec
+        pairs = p.pair_order[_blocks(p.pair_bounds, self.patients)]
+        # fit_cox binds before it builds the structure; a resample without
+        # pairs has no at-risk rows or no visits, and binding names the first
+        bound = self._bind(zspec) if p.z is None or not pairs.size else None
+        self.rs, self.pairs = p.rs.subset(pairs, self.visits, self.n)
         z_cover, self.z_visit = self._design(bound, p.z)
-        return cox._fit(self.rs, z_cover, self.z_visit, p.config.zspec, q.values)
+        return cox._fit(self.rs, z_cover, self.z_visit, zspec, q.values)
 
     def weights(self, fit, q):
         p = self.prepared
@@ -260,7 +277,8 @@ class _ResampleStages:
             return weights._inverse_intensity(fit, self.z_visit @ fit.gamma,
                                               q.values, q.phi)
         hspec = p.config.balance.hspec
-        h_cover, h_visit = self._design(self._bind(hspec), p.h)
+        bound = self._bind(hspec) if p.h is None else None
+        h_cover, h_visit = self._design(bound, p.h)
         system = weights._BalanceSystem(self.rs, h_cover, h_visit, q.values, fit)
         return weights._balance(system, hspec, q.phi)
 
@@ -272,7 +290,7 @@ class _ResampleStages:
         if bound.standardizes:
             x = bound.evaluate(p.dataset, rows)
         else:
-            x = np.take(p.x, self.visits, axis=0)
+            x = _take_rows(p.x, self.visits)
         return gee._fit(x, self.y, w, model, self.n)
 
 

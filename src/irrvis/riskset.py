@@ -2,10 +2,18 @@
 
 An at-risk row ``(start, end]`` covers every distinct visit time ``s`` with
 ``start < s <= end``.  The (row, event) incidence pairs are materialized
-once per dataset; every sum over risk sets is then a segmented reduction
-over the pairs with ``numpy.bincount``, which accumulates in a fixed order.
-All sums of positive quantities, so results are exact to float64 rounding
-and reproducible run to run.
+once per dataset and stored event-major: sorted by event, and within an
+event in dataset row order.  The pairs of one event are then a contiguous
+segment, and every sum over risk sets is one ``numpy.add.reduceat`` over
+the segment starts, along the last axis of a per-pair array, so a block of
+several per-pair rows is summed in one pass.  The sums run in a fixed
+order, so results are reproducible run to run.
+
+For an empty segment ``reduceat`` returns the element at its start, not
+zero, so every event must have at least one pair.  Validated data
+guarantee it: a visit row is at risk and has ``end > start``, so it covers
+its own event time, and a subset keeps an event only with one of its
+visits.  A structure that would break this raises :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -26,9 +34,15 @@ class RiskStructure:
     event_times : ndarray, shape (K,)
         Distinct visit times, ascending.  Ties are pooled.
     cover_row : ndarray of int64, shape (M,)
-        Dataset row index of each incidence pair.
+        Dataset row index of each incidence pair.  Pairs are event-major:
+        sorted by event, and by dataset row within an event.
     cover_event : ndarray of int64, shape (M,)
-        Event index of each pair.
+        Event index of each pair, non-decreasing.
+    event_counts : ndarray of int64, shape (K,)
+        Number of pairs of each event, all at least 1.
+    event_starts : ndarray of int64, shape (K,)
+        Position of each event's first pair; event ``k`` holds pairs
+        ``event_starts[k] : event_starts[k] + event_counts[k]``.
     visit_rows : ndarray of int64, shape (V,)
         Dataset row indices with a visit, ascending.
     visit_event : ndarray of int64, shape (V,)
@@ -49,13 +63,25 @@ class RiskStructure:
         counts = hi - lo
         keep = counts > 0
         risk_rows, lo, counts = risk_rows[keep], lo[keep], counts[keep]
-        self.cover_row = np.repeat(risk_rows, counts)
+        cover_row = np.repeat(risk_rows, counts)
         # concatenated ranges lo[i] .. lo[i]+counts[i]
         ends = np.cumsum(counts)
         offsets = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-        self.cover_event = np.repeat(lo, counts) + offsets
+        cover_event = np.repeat(lo, counts) + offsets
+        order = np.argsort(cover_event, kind="stable")
+        self.cover_row = cover_row[order]
+        self.cover_event = cover_event[order]
         self.visit_rows = dataset.visit_row_indices()
         self.visit_event = np.searchsorted(self.event_times, dataset.end[self.visit_rows])
+        self._index_events()
+
+    def _index_events(self) -> None:
+        """Set ``event_counts`` and ``event_starts`` from ``cover_event``."""
+        self.event_counts = np.bincount(self.cover_event, minlength=self.K)
+        if not self.event_counts.all():
+            raise NumericError(
+                "an event time has an empty risk set; check at_risk flags")
+        self.event_starts = np.cumsum(self.event_counts) - self.event_counts
 
     def subset(self, pairs: np.ndarray, visits: np.ndarray, n: int):
         """Structure of a dataset built from some of this one's rows.
@@ -64,29 +90,38 @@ class RiskStructure:
         visit rows, in the order the new dataset holds them (they may
         repeat).  Event times at which none of ``visits`` falls are dropped
         with the pairs that cover them, and the remaining events are
-        renumbered.  Returns ``(structure, kept)``: ``kept`` is the part of
-        ``pairs`` that survives, so per-pair arrays are sliced by it.  Row
-        indices in the result still refer to this structure's dataset.
+        renumbered.  The surviving pairs are stable-sorted by event, so the
+        result is event-major with the new dataset's row order inside each
+        event, as :class:`RiskStructure` of the new dataset would be.
+        Returns ``(structure, kept)``: ``kept`` lists the surviving entries
+        of ``pairs`` in the result's pair order, so per-pair arrays are
+        gathered by it.  Row indices in the result still refer to this
+        structure's dataset.
         """
         events = np.zeros(self.K, dtype=bool)
         events[self.visit_event[visits]] = True
         if not events.any():
             raise ValidationError("dataset has no visits")
         renumber = np.cumsum(events) - 1
-        kept = pairs[events[self.cover_event[pairs]]]
+        pair_event = self.cover_event[pairs]
+        survives = events[pair_event]
+        kept, pair_event = pairs[survives], pair_event[survives]
+        order = np.argsort(pair_event, kind="stable")
+        kept = kept[order]
         out = object.__new__(RiskStructure)
         out.n = int(n)
         out.event_times = self.event_times[events]
         out.K = int(out.event_times.size)
         out.cover_row = self.cover_row[kept]
-        out.cover_event = renumber[self.cover_event[kept]]
+        out.cover_event = renumber[pair_event[order]]
         out.visit_rows = self.visit_rows[visits]
         out.visit_event = renumber[self.visit_event[visits]]
+        out._index_events()
         return out, kept
 
     def cover_times(self) -> np.ndarray:
         """Event time of each incidence pair."""
-        return self.event_times[self.cover_event]
+        return np.repeat(self.event_times, self.event_counts)
 
     def design(self, bound, dataset: Dataset):
         """``bound``'s design on the incidence pairs, each row at its pair's
@@ -95,18 +130,10 @@ class RiskStructure:
                 bound.evaluate(dataset, self.visit_rows))
 
     def event_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum ``values`` (one per incidence pair) within each event time."""
-        return np.bincount(self.cover_event, weights=values, minlength=self.K)
-
-    def event_sum_columns(self, weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        """Per-event sums of ``weights * columns[:, j]``, shape (K, p)."""
-        p = columns.shape[1]
-        out = np.empty((self.K, p))
-        for j in range(p):
-            out[:, j] = np.bincount(self.cover_event,
-                                    weights=weights * columns[:, j],
-                                    minlength=self.K)
-        return out
+        """Sum ``values`` within each event time along the last axis, which
+        holds one entry per incidence pair: shape ``(..., M)`` to
+        ``(..., K)``."""
+        return np.add.reduceat(values, self.event_starts, axis=-1)
 
     def pooled_visit_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum per-visit ``values`` within each event time (tie pooling)."""

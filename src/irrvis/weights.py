@@ -30,7 +30,7 @@ import numpy as np
 
 from ._newton import is_positive_definite, maximize
 from .cox import CoxFit, QValues
-from .data import Dataset, _format_float
+from .data import Dataset, _csv_cells, _reprs
 from .design import ModelMatrixSpec, bind
 from .errors import (BalanceInfeasibleError, NumericError, RankDeficiencyError,
                      ValidationError)
@@ -163,7 +163,7 @@ class _BalanceSystem:
         inc = _breslow_pair(breslow, rs)
         self.h_visit = h_visit
         # target: sum_k dLambda_k * (risk-set sum of h at event k)
-        self.target = h_cover.T @ inc[rs.cover_event]
+        self.target = h_cover.T @ np.repeat(inc, rs.event_counts)
         self.q = q_arr
         self.n = rs.n
 
@@ -291,18 +291,14 @@ def balance_report(dataset: Dataset, hspec: ModelMatrixSpec, weights, breslow,
 
 def export_weights(dataset: Dataset, ws: WeightSet, path) -> None:
     """Write per-visit weights as CSV: patient_id, visit_time, weight, kind."""
-    import csv
-
     visit_rows = dataset.visit_row_indices()
     if ws.weights.shape[0] != visit_rows.size:
         raise ValidationError("weight set does not match the dataset")
+    ids = _csv_cells(dataset.patient_ids)
+    kind = _csv_cells([ws.kind])[0]
+    pids = map(ids.__getitem__, dataset.patient_index[visit_rows].tolist())
+    times = _reprs(dataset.end[visit_rows])
+    values = _reprs(np.asarray(ws.weights, dtype=np.float64))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["patient_id", "visit_time", "weight", "kind"])
-        for i, row in enumerate(visit_rows):
-            writer.writerow([
-                dataset.patient_ids[dataset.patient_index[row]],
-                _format_float(dataset.end[row]),
-                _format_float(ws.weights[i]),
-                ws.kind,
-            ])
+        fh.write("patient_id,visit_time,weight,kind\n")
+        fh.writelines(f"{p},{t},{w},{kind}\n" for p, t, w in zip(pids, times, values))

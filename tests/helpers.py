@@ -54,3 +54,14 @@ def random_panel(seed, n_patients=6, n_periods=5, p_visit=0.5, n_cov=1,
         if n_visits:
             return Dataset.from_rows(rows, tau=float(n_periods))
     raise AssertionError("could not build a panel with visits")
+
+
+def drawn_positions(rows_of_full, bounds, draw):
+    """Positions in a per-entry array whose entries carry the dataset rows
+    ``rows_of_full``, of the entries of patients ``draw`` (with repeats), in
+    the row order of ``dataset.take_patients(draw)``; ``bounds`` are the
+    dataset's ``patient_row_bounds``."""
+    by_row = np.argsort(rows_of_full, kind="stable")
+    rows = rows_of_full[by_row]
+    return np.concatenate([by_row[(rows >= bounds[i]) & (rows < bounds[i + 1])]
+                           for i in draw])

@@ -283,3 +283,18 @@ def export_csv_rows(dataset, path):
                 repr(float(dataset.outcome[i])) if dataset.visit[i] else "",
                 *(repr(float(v)) for v in dataset.covariates[i]),
             ])
+
+
+def export_weights_rows(dataset, ws, path):
+    """``export_weights`` by a ``csv.writer`` row per visit row."""
+    visit_rows = np.flatnonzero(dataset.visit)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["patient_id", "visit_time", "weight", "kind"])
+        for i, row in enumerate(visit_rows):
+            writer.writerow([
+                dataset.patient_ids[dataset.patient_index[row]],
+                repr(float(dataset.end[row])),
+                repr(float(ws.weights[i])),
+                ws.kind,
+            ])

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import grid_rows, random_panel
+from helpers import drawn_positions, grid_rows, random_panel
 from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec, QValues,
                     RankDeficiencyError,
                     ScenarioConfig, SeparationError, ValidationError,
                     breslow_increments, fit_cox, generate)
+from irrvis.cox import _PartialLikelihood
+from irrvis.design import bind
+from irrvis.riskset import RiskStructure
 
 
 def three_patient_dataset():
@@ -80,6 +83,80 @@ def test_unit_q_equals_default():
     a = fit_cox(ds, ModelMatrixSpec(["z1"]))
     b = fit_cox(ds, ModelMatrixSpec(["z1"]), q=unit_q(ds))
     assert np.allclose(a.gamma, b.gamma, atol=1e-8)
+
+
+# -- the likelihood kernel -----------------------------------------------------
+
+
+KERNEL_TERMS = ["z1", "z2", "t*z1"]
+
+
+def kernel_panel(seed):
+    """Tied visits on a unit grid, censoring, a patient alone at an event
+    time (``alone``, on a half-unit grid) and one without visits."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for pid in range(int(rng.integers(2, 6))):
+        cov = {"z1": float(rng.normal()), "z2": float(rng.normal())}
+        visits = {k: 0.0 for k in range(1, 5) if rng.random() < 0.5}
+        censored = int(rng.integers(2, 5)) if rng.random() < 0.3 else None
+        rows += grid_rows(f"p{pid}", cov, visits, censored_from=censored)
+    rows += grid_rows("alone", {"z1": 0.4, "z2": -0.7}, {5: 0.0}, n_periods=8,
+                      step=0.5)
+    rows += grid_rows("silent", {"z1": -0.3, "z2": 0.2}, {})
+    return Dataset.from_rows(rows, tau=4.0)
+
+
+def assert_kernel_matches_oracle(pl, ds, gamma, q):
+    def f(g):
+        return oracles.cox_loglik(ds, KERNEL_TERMS, g, q) / ds.n_patients
+
+    loglik, score, information = pl.at(gamma)
+    assert np.isclose(loglik, f(gamma), rtol=1e-12, atol=1e-12)
+    assert np.allclose(score, oracles._fd_grad(f, gamma), rtol=0.0, atol=1e-7)
+    assert np.allclose(information, -oracles._fd_hess(f, gamma), rtol=0.0, atol=1e-5)
+    assert np.allclose(pl.breslow(gamma),
+                       oracles.breslow(ds, KERNEL_TERMS, gamma, q)[1], rtol=1e-12)
+
+
+def test_block_event_sums_match_loops():
+    # the kernel sums exp(eta) and z * exp(eta) in one (p + 1, M) block
+    ds = kernel_panel(3)
+    rs = RiskStructure(ds)
+    block = np.random.default_rng(0).normal(size=(3, rs.cover_row.size))
+    expect = np.zeros((3, rs.K))
+    for i, k in enumerate(rs.cover_event):
+        expect[:, k] += block[:, i]
+    assert np.allclose(rs.event_sum(block), expect, rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       draw=st.lists(st.integers(0, 20), min_size=2, max_size=8))
+def test_kernel_matches_oracle_on_panels_and_resamples(seed, draw):
+    ds = kernel_panel(seed)
+    rng = np.random.default_rng(seed + 1)
+    gamma = rng.uniform(-0.8, 0.8, len(KERNEL_TERMS))
+    spec = ModelMatrixSpec(KERNEL_TERMS)
+    rs = RiskStructure(ds)
+    z_cover, z_visit = rs.design(bind(ds, spec, "at_risk"), ds)
+    q = rng.uniform(0.5, 2.0, rs.visit_rows.size)
+    assert_kernel_matches_oracle(_PartialLikelihood(rs, z_cover, z_visit, q),
+                                 ds, gamma, q)
+
+    # a draw of patients with repeats, through RiskStructure.subset and the
+    # full design's rows, against the oracle on the drawn dataset
+    draw = [i % ds.n_patients for i in draw]
+    sub = ds.take_patients(draw)
+    if not sub.visit.any():
+        return
+    bounds = ds.patient_row_bounds
+    visits = drawn_positions(rs.visit_rows, bounds, draw)
+    got, kept = rs.subset(drawn_positions(rs.cover_row, bounds, draw), visits,
+                          len(draw))
+    q_sub = q[visits]
+    pl = _PartialLikelihood(got, z_cover[kept], z_visit[visits], q_sub)
+    assert_kernel_matches_oracle(pl, sub, gamma, q_sub)
 
 
 def test_score_residual_below_tolerance():

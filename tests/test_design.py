@@ -129,6 +129,18 @@ def test_evaluate_at_explicit_times():
         bound.evaluate(ds, np.array([0, 1]), np.array([0.5]))
 
 
+def test_evaluate_returns_column_major():
+    # fits read a design one term at a time, so each column is contiguous
+    ds = random_panel(4, n_patients=3)
+    bound = bind(ds, ModelMatrixSpec(["1", "z1", "t*z1"]), "at_risk")
+    rows = ds.at_risk_row_indices()
+    out = bound.evaluate(ds, rows)
+    assert out.shape == (rows.size, 3)
+    assert out.flags.f_contiguous
+    assert out.T.flags.c_contiguous
+    assert np.array_equal(out[:, 2], ds.end[rows] * ds.covariate_column("z1")[rows])
+
+
 def test_unknown_covariate_rejected():
     ds = dataset_with([{"z": 0.0}])
     with pytest.raises(ValidationError, match="unknown covariate"):

@@ -448,6 +448,17 @@ def test_prepared_resamples_match_take_patients(name):
     assert sum(ok) > len(ok) // 2
 
 
+def test_resample_without_at_risk_rows_fails_as_take_patients():
+    # a patient censored from the start has no at-risk rows, so no pairs;
+    # a draw of that patient alone fails in binding, as in fit_cox
+    rows = grid_rows("a", {"z1": 0.3}, {1: 1.0, 2: 0.5})
+    rows += grid_rows("b", {"z1": -0.4}, {2: 0.2})
+    rows += grid_rows("never", {"z1": 0.1}, {}, censored_from=1)
+    ds = Dataset.from_rows(rows, tau=4.0)
+    cfg = mle_config()
+    assert not same_pass(_Prepared(ds, cfg), ds, cfg, np.array([2, 2]), 0.0)
+
+
 def test_jackknife_and_bootstrap_match_take_patients_loops():
     # flag marks one patient, so the deletion of that patient leaves the
     # visit model singular and fails

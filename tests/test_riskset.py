@@ -3,21 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_rows, random_panel, two_patient_dataset
+from helpers import drawn_positions, grid_rows, random_panel, two_patient_dataset
 from irrvis import Dataset, NumericError, ValidationError
 from irrvis.riskset import RiskStructure
 
 
 def brute_force_pairs(ds):
+    """Event times and the (event, row) pairs, event by event, rows in
+    dataset order within an event."""
     times = np.unique(ds.end[ds.visit])
     pairs = []
-    for row in range(ds.n_rows):
-        if not ds.at_risk[row]:
-            continue
-        for k, s in enumerate(times):
-            if ds.start[row] < s <= ds.end[row]:
-                pairs.append((row, k))
-    return times, sorted(pairs)
+    for k, s in enumerate(times):
+        for row in range(ds.n_rows):
+            if ds.at_risk[row] and ds.start[row] < s <= ds.end[row]:
+                pairs.append((k, row))
+    return times, pairs
+
+
+def assert_event_major(rs, pairs):
+    """``rs`` holds exactly ``pairs`` in their order, with segment indexes
+    that match them and no empty event."""
+    assert list(zip(rs.cover_event.tolist(), rs.cover_row.tolist())) == pairs
+    assert rs.event_counts.shape == rs.event_starts.shape == (rs.K,)
+    assert np.all(rs.event_counts >= 1)
+    assert np.array_equal(rs.event_counts, np.bincount(rs.cover_event, minlength=rs.K))
+    assert np.array_equal(rs.event_starts,
+                          np.searchsorted(rs.cover_event, np.arange(rs.K)))
 
 
 def test_pairs_match_brute_force_on_hand_dataset():
@@ -25,7 +36,7 @@ def test_pairs_match_brute_force_on_hand_dataset():
     rs = RiskStructure(ds)
     times, pairs = brute_force_pairs(ds)
     assert np.array_equal(rs.event_times, times)
-    assert sorted(zip(rs.cover_row.tolist(), rs.cover_event.tolist())) == pairs
+    assert_event_major(rs, pairs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -35,7 +46,7 @@ def test_pairs_match_brute_force_on_random_panels(seed):
     rs = RiskStructure(ds)
     times, pairs = brute_force_pairs(ds)
     assert np.array_equal(rs.event_times, times)
-    assert sorted(zip(rs.cover_row.tolist(), rs.cover_event.tolist())) == pairs
+    assert_event_major(rs, pairs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -47,9 +58,7 @@ def test_subset_is_the_structure_of_the_taken_patients(seed, draw):
     rows = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in draw])
 
     def own(rows_of_full):
-        return np.concatenate([
-            np.flatnonzero((rows_of_full >= bounds[i]) & (rows_of_full < bounds[i + 1]))
-            for i in draw])
+        return drawn_positions(rows_of_full, bounds, draw)
 
     sub = ds.take_patients(draw)
     if not sub.visit.any():
@@ -65,6 +74,8 @@ def test_subset_is_the_structure_of_the_taken_patients(seed, draw):
     assert np.array_equal(full.cover_row[kept], got.cover_row)
     assert np.array_equal(got.visit_rows, rows[want.visit_rows])
     assert np.array_equal(got.visit_event, want.visit_event)
+    assert np.array_equal(got.event_counts, want.event_counts)
+    assert np.array_equal(got.event_starts, want.event_starts)
 
 
 def test_censored_rows_carry_no_pairs():
@@ -95,14 +106,6 @@ def test_event_sums_match_loops():
     for v, k in zip(vals, rs.cover_event):
         expect[k] += v
     assert np.allclose(rs.event_sum(vals), expect)
-    cols = np.column_stack([vals, vals ** 2])
-    w = np.linspace(0.5, 1.5, vals.size)
-    out = rs.event_sum_columns(w, cols)
-    for j in range(2):
-        expect_j = np.zeros(rs.K)
-        for i, k in enumerate(rs.cover_event):
-            expect_j[k] += w[i] * cols[i, j]
-        assert np.allclose(out[:, j], expect_j)
 
 
 def test_cover_times_expand_event_axis():
@@ -123,3 +126,14 @@ def test_check_positive():
         RiskStructure.check_positive(np.array([1.0, 0.0]))
     with pytest.raises(NumericError, match="zero or non-finite"):
         RiskStructure.check_positive(np.array([np.inf, 1.0]))
+
+
+def test_subset_without_an_events_pairs_is_rejected():
+    # a subset keeps an event for each of its visits; dropping the pairs of
+    # a visited event would leave that event's segment empty
+    ds = two_patient_dataset()
+    rs = RiskStructure(ds)
+    visits = np.arange(rs.visit_rows.size)
+    pairs = np.flatnonzero(rs.cover_event != rs.visit_event[0])
+    with pytest.raises(NumericError, match="empty risk set"):
+        rs.subset(pairs, visits, ds.n_patients)

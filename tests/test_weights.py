@@ -370,3 +370,18 @@ def test_export_weights_layout(tmp_path):
     assert lines[0] == "patient_id,visit_time,weight,kind"
     assert len(lines) == 1 + int(ds.visit.sum())
     assert all(line.endswith(",mle") for line in lines[1:])
+
+
+def test_export_weights_matches_the_row_writer(tmp_path):
+    ids = ["a,b", 'q"x', "#5", " pad ", "", "two\nlines", 7]
+    rows = []
+    for k, pid in enumerate(ids):
+        rows += grid_rows(pid, {"z1": k / 3}, {1: 0.1 * k, 2: 1.0}, n_periods=3)
+    ds = Dataset.from_rows(rows, tau=3.0)
+    ws = mle_weights(fit_cox(ds, ModelMatrixSpec(["z1"])), ds,
+                     q_values(ds, SelectionSpec(), 0.7))
+    ours, reference = tmp_path / "a.csv", tmp_path / "b.csv"
+    export_weights(ds, ws, ours)
+    oracles.export_weights_rows(ds, ws, reference)
+    assert ours.read_bytes() == reference.read_bytes()
+    assert b'"a,b"' in ours.read_bytes()
