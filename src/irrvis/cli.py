@@ -29,7 +29,7 @@ from .errors import IrrvisError, PipelineError, ValidationError
 from .gee import MarginalModelSpec
 from .inference import AnalysisConfig, Resampling, sweep
 from .simlab import ScenarioConfig, run_study
-from .weights import (SelectionSpec, balance_report, balancing_weights,
+from .weights import (SelectionSpec, _BalanceReport, balancing_weights,
                       export_weights, mle_weights, q_values)
 
 log = logging.getLogger("irrvis")
@@ -209,14 +209,15 @@ def _analysis_config(config: dict) -> AnalysisConfig:
                           resampling=resampling)
 
 
-def _phi_artifacts(dataset, outdir, phi, cox, wset, hspec) -> None:
-    """Visit model, weight and (with balance terms) balance files of one phi."""
+def _phi_artifacts(dataset, outdir, phi, cox, wset, balance) -> None:
+    """Visit model, weight and (given a ``_BalanceReport``) balance files of
+    one phi."""
     tag = format(phi, "g")
     _write_cox(os.path.join(outdir, f"cox_phi{tag}.csv"), cox)
     export_weights(dataset, wset, os.path.join(outdir, f"weights_phi{tag}.csv"))
-    if hspec is not None:
-        report = balance_report(dataset, hspec, wset, cox)
-        _write_balance(os.path.join(outdir, f"balance_phi{tag}.csv"), report)
+    if balance is not None:
+        _write_balance(os.path.join(outdir, f"balance_phi{tag}.csv"),
+                       balance.rows(wset.weights, cox))
 
 
 def cmd_analyze(config: dict, config_path, outdir: str, threads) -> int:
@@ -227,11 +228,14 @@ def cmd_analyze(config: dict, config_path, outdir: str, threads) -> int:
     result = sweep(dataset, acfg)
     result.to_csv(os.path.join(outdir, "sweep.csv"))
     if acfg.weight_kind != "none":
+        balance = None
         for phi, kept in result.fits.items():
             if isinstance(kept, PipelineError):
                 log.warning("%s; no artifact files written", kept)
-            else:
-                _phi_artifacts(dataset, outdir, phi, *kept, acfg.hspec)
+                continue
+            if acfg.hspec is not None and balance is None:
+                balance = _BalanceReport(dataset, acfg.hspec)
+            _phi_artifacts(dataset, outdir, phi, *kept, balance)
     _write_manifest(outdir, "analyze", config_path, _seed(config))
     return 0
 
@@ -297,7 +301,8 @@ def cmd_weights(config: dict, config_path, outdir: str, threads) -> int:
         wset = mle_weights(cox, dataset, q)
     else:
         wset = balancing_weights(dataset, hspec, q, cox)
-    _phi_artifacts(dataset, outdir, phi, cox, wset, hspec)
+    balance = None if hspec is None else _BalanceReport(dataset, hspec)
+    _phi_artifacts(dataset, outdir, phi, cox, wset, balance)
     _write_manifest(outdir, "weights", config_path, _seed(config))
     return 0
 

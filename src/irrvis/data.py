@@ -58,6 +58,8 @@ class Dataset:
     outcome : ndarray of float64
         NaN on rows without a visit.
     covariates : ndarray of float64, shape (n_rows, n_covariates)
+        Stored column-major (Fortran order), so each covariate's values
+        are contiguous; ``covariates[i]`` is still row ``i``.
     covariate_names : tuple of str
     tau : float
         Administrative end of follow-up.
@@ -74,7 +76,9 @@ class Dataset:
         self.at_risk = np.asarray(at_risk, dtype=bool)
         self.visit = np.asarray(visit, dtype=bool)
         self.outcome = np.asarray(outcome, dtype=np.float64)
-        self.covariates = np.ascontiguousarray(covariates, dtype=np.float64)
+        # column-major: designs gather one covariate at a time; the
+        # constructors allocate this order, so no copy is made here
+        self.covariates = np.asfortranarray(covariates, dtype=np.float64)
         if self.covariates.ndim != 2:
             raise ValidationError("covariates must be a 2-d array")
         self.covariate_names = tuple(covariate_names)
@@ -99,7 +103,7 @@ class Dataset:
         at_risk = np.empty(len(rows), dtype=bool)
         visit = np.empty(len(rows), dtype=bool)
         outcome = np.full(len(rows), np.nan)
-        cov = np.empty((len(rows), len(names)))
+        cov = np.empty((len(rows), len(names)), order="F")
         for i, r in enumerate(rows):
             if tuple(r.covariates.keys()) != names:
                 raise ValidationError(f"row {i}: covariate names differ from first row")
@@ -118,7 +122,7 @@ class Dataset:
             tau = float(end.max())
         order = np.lexsort((start, pidx))
         return cls(ids, pidx[order], start[order], end[order], at_risk[order],
-                   visit[order], outcome[order], cov[order], names, tau)
+                   visit[order], outcome[order], _take_rows(cov, order), names, tau)
 
     # -- validation --------------------------------------------------------
 
@@ -211,6 +215,7 @@ class Dataset:
         return np.unique(self.end[self.visit])
 
     def covariate_column(self, name: str) -> np.ndarray:
+        """Values of covariate ``name``, a contiguous view into ``covariates``."""
         try:
             j = self.covariate_names.index(name)
         except ValueError:
@@ -249,8 +254,19 @@ class Dataset:
         pidx = np.repeat(np.arange(len(indices), dtype=np.int32), counts)
         return Dataset(list(range(len(indices))), pidx, self.start[rows],
                        self.end[rows], self.at_risk[rows], self.visit[rows],
-                       self.outcome[rows], self.covariates[rows],
+                       self.outcome[rows], _take_rows(self.covariates, rows),
                        self.covariate_names, self.tau, validate=False)
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a column-major 2-d array, kept column-major.
+
+    ``a[rows]`` would come back in C order.  Covariate blocks keep the
+    layout :class:`Dataset` stores, and designs the layout
+    :meth:`BoundDesign.evaluate` returns, so fits on gathered rows run on
+    the same memory layout as on a dataset built from those rows.
+    """
+    return np.take(a.T, rows, axis=1).T
 
 
 # -- CSV boundary ----------------------------------------------------------
@@ -340,7 +356,7 @@ def _columns(lines, n_cells, positions, cov_cols) -> tuple:
         return table[f"c{positions[key]}"]
 
     start, end = column("start"), column("end")
-    cov = np.empty((table.shape[0], len(cov_cols)))
+    cov = np.empty((table.shape[0], len(cov_cols)), order="F")
     for k, (_, j) in enumerate(cov_cols):
         cov[:, k] = table[f"c{j}"]
     cells = [text.strip() for text in column("outcome").tolist()]
@@ -427,8 +443,8 @@ def load_csv(path, schema: Optional[Mapping[str, str]] = None) -> Dataset:
     pidx = np.fromiter(map(id_pos.__getitem__, pids), np.int32, count=len(pids))
     order = np.lexsort((start, pidx))
     return Dataset(ids, pidx[order], start[order], end[order],
-                   at_risk[order], visit[order], outcome[order], cov[order],
-                   names, tau=float(np.max(end)))
+                   at_risk[order], visit[order], outcome[order],
+                   _take_rows(cov, order), names, tau=float(np.max(end)))
 
 
 def _format_float(x: float) -> str:

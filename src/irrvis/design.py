@@ -189,7 +189,8 @@ def _raw_factor(dataset: Dataset, f: Term, rows: np.ndarray, times: np.ndarray) 
         raise ValidationError(f"log1p needs values > -1 in term {f.label()!r}")
     if f.transform == "sqrt" and np.any(base < 0.0):
         raise ValidationError(f"sqrt needs non-negative values in term {f.label()!r}")
-    return _TRANSFORMS[f.transform](base.astype(np.float64))
+    # float64 already (Dataset columns, evaluate's times); never written to
+    return _TRANSFORMS[f.transform](base)
 
 
 class BoundDesign:
@@ -243,6 +244,10 @@ class BoundDesign:
         event time inside the row's interval.  The result, shape
         ``(rows, terms)``, is column-major: its transpose is a C-contiguous
         ``(terms, rows)`` array, one row per term.
+
+        Each distinct factor is gathered, transformed and standardized once
+        per call, however many terms it enters; an interaction multiplies
+        its factors into its column in the order the term lists them.
         """
         rows = np.asarray(rows)
         if times is None:
@@ -252,16 +257,24 @@ class BoundDesign:
             if times.shape != rows.shape:
                 raise ValidationError("rows and times must have equal length")
         out = np.empty((len(self.spec), rows.shape[0]), dtype=np.float64)
+        values: dict = {}
+
+        def factor(f):
+            v = values.get(f)
+            if v is None:
+                v = values[f] = self._factor_values(dataset, f, rows, times)
+            return v
+
         for j, term in enumerate(self.spec.terms):
             if term.kind == "const":
                 out[j] = 1.0
             elif term.kind == "interaction":
-                col = self._factor_values(dataset, term.factors[0], rows, times)
-                for f in term.factors[1:]:
-                    col = col * self._factor_values(dataset, f, rows, times)
-                out[j] = col
+                first, second, *rest = term.factors
+                np.multiply(factor(first), factor(second), out=out[j])
+                for f in rest:
+                    out[j] *= factor(f)
             else:
-                out[j] = self._factor_values(dataset, term, rows, times)
+                out[j] = factor(term)
         return out.T
 
 

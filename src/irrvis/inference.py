@@ -34,7 +34,7 @@ import numpy as np
 
 from . import cox, gee, weights
 from .cox import fit_cox
-from .data import Dataset, _format_float
+from .data import Dataset, _format_float, _take_rows
 from .design import BoundDesign, ModelMatrixSpec
 from .errors import NumericError, ValidationError, _stage
 from .gee import MarginalModelSpec, fit_weighted_gee
@@ -164,13 +164,6 @@ class _DatasetStages:
 
     def marginal(self, w):
         return fit_weighted_gee(self.dataset, self.config.model, weights=w)
-
-
-def _take_rows(design: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Rows ``ids`` of a column-major design, kept column-major as
-    :meth:`BoundDesign.evaluate` returns it, so that the fits run on the
-    same memory layout as on a dataset built from those rows."""
-    return np.take(design.T, ids, axis=1).T
 
 
 def _blocks(bounds: np.ndarray, patients: np.ndarray) -> np.ndarray:

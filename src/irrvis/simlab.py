@@ -159,7 +159,7 @@ def _panel_dataset(x, z1, z2, z1s, z2s, y, visit) -> Dataset:
     pidx = np.repeat(np.arange(n, dtype=np.int32), N_GRID)
     start = np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n)
     end = np.tile(GRID_TIMES, n)
-    cov = np.empty((rows, len(_COV_NAMES)))
+    cov = np.empty((rows, len(_COV_NAMES)), order="F")
     cov[:, 0] = z1.ravel()
     cov[:, 1] = z2.ravel()
     cov[:, 2] = np.repeat(x[:, 0], N_GRID)

@@ -18,6 +18,12 @@ Three ingredients:
   ``c(gamma) = (1/n) sum_visits exp(gamma' h) Q - gamma' T / n`` with a
   constant target vector ``T``, so a damped Newton search converges
   globally when a root exists.
+
+``balance_report`` evaluates the balance conditions under given weights.
+It is a one-shot use of ``_BalanceReport``, which holds what does not
+change with phi (the risk structure, the balance design on its pairs and
+visits, and each term's at-risk standard deviation); the command line
+builds one and reports every phi of a run from it.
 """
 
 from __future__ import annotations
@@ -249,6 +255,35 @@ def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float) -> Weig
                      max_abs_residual=float(np.max(np.abs(res))))
 
 
+class _BalanceReport:
+    """The parts of :func:`balance_report` that do not change with phi."""
+
+    def __init__(self, dataset: Dataset, hspec: ModelMatrixSpec):
+        self.names = hspec.names
+        self.rs = RiskStructure(dataset)
+        bound = bind(dataset, hspec, "at_risk")
+        self.h_cover, self.h_visit = self.rs.design(bound, dataset)
+        h_risk = bound.evaluate(dataset, dataset.at_risk_row_indices())
+        # one contiguous column at a time; the design is dropped after
+        self.sd = [float(col.std(ddof=1)) if col.size > 1 else 0.0
+                   for col in h_risk.T]
+
+    def rows(self, w: np.ndarray, breslow) -> list:
+        """:func:`balance_report`'s rows for complete visit weights ``w``."""
+        res = _BalanceSystem(self.rs, self.h_cover, self.h_visit, np.ones_like(w),
+                             breslow).residual(w)
+        rows = []
+        for j, (term, sd) in enumerate(zip(self.names, self.sd)):
+            zero = sd == 0.0
+            rows.append({
+                "term": term,
+                "residual": float(res[j]),
+                "standardized_residual": float(res[j]) if zero else float(res[j] / sd),
+                "zero_sd": zero,
+            })
+        return rows
+
+
 def balance_report(dataset: Dataset, hspec: ModelMatrixSpec, weights, breslow,
                    q: Optional[QValues] = None) -> list:
     """Evaluate the balance conditions under arbitrary weights.
@@ -272,21 +307,7 @@ def balance_report(dataset: Dataset, hspec: ModelMatrixSpec, weights, breslow,
         raise ValidationError("weights must have one entry per visit row")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValidationError("weights must be positive and finite")
-    res = _balance_system(dataset, hspec, np.ones_like(w), breslow).residual(w)
-    bound = bind(dataset, hspec, "at_risk")
-    risk_rows = dataset.at_risk_row_indices()
-    h_risk = bound.evaluate(dataset, risk_rows)
-    rows = []
-    for j, term in enumerate(hspec.names):
-        sd = float(h_risk[:, j].std(ddof=1)) if h_risk.shape[0] > 1 else 0.0
-        zero = sd == 0.0
-        rows.append({
-            "term": term,
-            "residual": float(res[j]),
-            "standardized_residual": float(res[j]) if zero else float(res[j] / sd),
-            "zero_sd": zero,
-        })
-    return rows
+    return _BalanceReport(dataset, hspec).rows(w, breslow)
 
 
 def export_weights(dataset: Dataset, ws: WeightSet, path) -> None:

@@ -30,6 +30,49 @@ def _design_row(dataset, row, time, colnames):
     return out
 
 
+def _factor_values(dataset, f, rows, times):
+    """One factor of a design term, before standardization."""
+    if f.kind == "period":
+        return ((times >= f.lo) & (times < f.hi)).astype(np.float64)
+    if f.kind == "time":
+        v = times
+    else:
+        v = dataset.covariates[rows, dataset.covariate_names.index(f.name)]
+    return v if f.transform is None else getattr(np, f.transform)(v)
+
+
+def design_matrix(dataset, terms, rows, times=None, binding_rows=None):
+    """Design of ``terms`` on ``rows`` at ``times``, one term at a time.
+
+    Every factor of every term is computed afresh.  Standardized factors
+    use the mean and sample SD (ddof 1) of the factor over
+    ``binding_rows``, each row at its own endpoint.  Interactions multiply
+    their factors left to right.
+    """
+    rows = np.asarray(rows)
+    times = dataset.end[rows] if times is None else np.asarray(times, dtype=float)
+
+    def factor(f):
+        v = _factor_values(dataset, f, rows, times)
+        if f.standardize:
+            ref = _factor_values(dataset, f, binding_rows, dataset.end[binding_rows])
+            v = (v - float(ref.mean())) / (2.0 * float(ref.std(ddof=1)))
+        return v
+
+    out = np.empty((rows.size, len(terms)))
+    for j, term in enumerate(terms):
+        if term.kind == "const":
+            out[:, j] = 1.0
+        elif term.kind == "interaction":
+            col = factor(term.factors[0])
+            for f in term.factors[1:]:
+                col = col * factor(f)
+            out[:, j] = col
+        else:
+            out[:, j] = factor(term)
+    return out
+
+
 def cox_loglik(dataset, colnames, gamma, q=None):
     """Q-weighted pooled-ties partial log likelihood, by explicit loops."""
     gamma = np.asarray(gamma, dtype=float)

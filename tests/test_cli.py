@@ -1,11 +1,16 @@
+import csv
 import logging
+import warnings
 
+import numpy as np
 import pytest
 import yaml
 
 from helpers import grid_rows, random_panel
-from irrvis import Dataset, export_csv
+from irrvis import (Dataset, ModelMatrixSpec, balance_report, cli, export_csv,
+                    load_csv)
 from irrvis.cli import main
+from irrvis.riskset import RiskStructure
 
 
 def write_config(path, payload):
@@ -193,6 +198,81 @@ def test_analyze_skips_artifacts_of_a_failed_phi(tmp_path, caplog):
     assert len(warning) == 1
     assert "stage 'selection values' failed at phi=200" in warning[0]
     assert "no artifact files written" in warning[0]
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def panel_with_visit_constant_covariate(seed=1):
+    # covariate c is 1 at every visit row and z1 elsewhere, so the balance
+    # solve drops the term c (constant at the visits) but reports it
+    ds = random_panel(seed, n_patients=16, p_visit=0.4)
+    c = np.where(ds.visit, 1.0, ds.covariates[:, 0])
+    return Dataset(ds.patient_ids, ds.patient_index, ds.start, ds.end, ds.at_risk,
+                   ds.visit, ds.outcome, np.column_stack([ds.covariates, c]),
+                   ds.covariate_names + ("c",), ds.tau)
+
+
+@pytest.mark.parametrize("kind, h_terms, visit_constant", [
+    ("balancing", ["1", "z1", "t*z1"], False),
+    ("mle", ["1", "z1", "t"], False),
+    ("balancing", ["1", "z1", "c", "t*c"], True),
+], ids=["balancing", "mle_h_terms", "balancing_drops_c"])
+def test_analyze_balance_files_equal_balance_report(tmp_path, monkeypatch, kind,
+                                                    h_terms, visit_constant):
+    data = tmp_path / "panel.csv"
+    if visit_constant:
+        export_csv(panel_with_visit_constant_covariate(), data)
+    else:
+        export_csv(random_panel(1, n_patients=16, p_visit=0.4), data)
+    grid = [0.0, 0.25, 0.5]
+    cfg = write_config(tmp_path / "a.yaml", {
+        "input": str(data),
+        "analyze": {"weight_kind": kind, "z_terms": ["z1"], "h_terms": h_terms,
+                    "x_terms": ["1", "z1"], "phi_grid": grid}})
+    # count risk-structure builds once the sweep has returned: those of the
+    # per-phi artifact loop
+    builds = []
+    init, run_sweep = RiskStructure.__init__, cli.sweep
+
+    def counted_init(self, *args, **kw):
+        builds.append(1)
+        init(self, *args, **kw)
+
+    def sweep_then_count(*args, **kw):
+        result = run_sweep(*args, **kw)
+        monkeypatch.setattr(RiskStructure, "__init__", counted_init)
+        return result
+
+    monkeypatch.setattr(cli, "sweep", sweep_then_count)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("analyze", "--config", cfg, "--output", str(out)) == 0
+    assert len(builds) == 1
+    monkeypatch.undo()
+    dropped = [w for w in caught
+               if "constant at every visit row dropped: c" in str(w.message)]
+    assert len(dropped) == (len(grid) if visit_constant else 0)
+
+    ds = load_csv(data)
+    hspec = ModelMatrixSpec(h_terms)
+    for phi in grid:
+        tag = format(phi, "g")
+        cox = read_csv(out / f"cox_phi{tag}.csv")
+        breslow = ([float(r["key"]) for r in cox if r["section"] == "breslow"],
+                   [float(r["value"]) for r in cox if r["section"] == "breslow"])
+        w = np.array([float(r["weight"])
+                      for r in read_csv(out / f"weights_phi{tag}.csv")])
+        written = read_csv(out / f"balance_phi{tag}.csv")
+        expected = balance_report(ds, hspec, w, breslow)
+        assert [r["term"] for r in written] == [r["term"] for r in expected]
+        for got, want in zip(written, expected):
+            assert float(got["residual"]) == want["residual"]
+            assert float(got["standardized_residual"]) == want["standardized_residual"]
+            assert got["zero_sd"] == str(int(want["zero_sd"]))
 
 
 @pytest.mark.parametrize("terms", [["nosuch"], [1, "z1"]])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import irrvis.data
 from helpers import grid_rows, random_panel, two_patient_dataset, two_patient_rows
-from irrvis import (CountingProcessRow, Dataset, ValidationError, export_csv,
-                    load_csv)
+from irrvis import (CountingProcessRow, Dataset, ScenarioConfig, ValidationError,
+                    export_csv, generate, load_csv)
 from oracles import export_csv_rows, load_csv_rows
 
 MINIMAL_CSV = (
@@ -142,6 +142,67 @@ def test_covariate_column_lookup():
     assert np.array_equal(np.unique(ds.covariate_column("z")), [-0.5, 1.0])
     with pytest.raises(ValidationError, match="unknown covariate"):
         ds.covariate_column("w")
+
+
+# -- covariate layout --------------------------------------------------------
+
+
+def constructor_blocks(monkeypatch) -> list:
+    """Record ``(block passed, block stored)`` for each Dataset built."""
+    blocks = []
+    init = Dataset.__init__
+
+    def spy(self, *args, **kw):
+        init(self, *args, **kw)
+        blocks.append((args[7], self.covariates))
+
+    monkeypatch.setattr(Dataset, "__init__", spy)
+    return blocks
+
+
+def test_covariates_are_column_major_on_every_construction_path(tmp_path):
+    ds = random_panel(2, n_patients=4, n_cov=3)
+    c_block = np.ascontiguousarray(ds.covariates)
+    assert c_block.flags.c_contiguous and not c_block.flags.f_contiguous
+    given_c = Dataset(ds.patient_ids, ds.patient_index, ds.start, ds.end,
+                      ds.at_risk, ds.visit, ds.outcome, c_block,
+                      ds.covariate_names, ds.tau)
+    path = tmp_path / "d.csv"
+    export_csv(ds, path)
+    cfg = ScenarioConfig(outcome="continuous", gamma_z=0.5, phi_true=0.0, n=3,
+                         scenario="s1_noSF_correctZ", n_reps=1)
+    for built in (ds, given_c, load_csv(path), ds.take_patients([3, 0, 3]),
+                  *generate(cfg, 0)):
+        assert built.covariates.flags.f_contiguous
+        assert not built.covariates.flags.c_contiguous
+        assert built.covariates.shape == (built.n_rows, len(built.covariate_names))
+    assert np.array_equal(given_c.covariates, ds.covariates)
+    assert np.array_equal(given_c.covariates[2], c_block[2])
+
+
+def test_covariate_column_is_a_contiguous_view():
+    ds = random_panel(5, n_patients=3, n_cov=2)
+    col = ds.covariate_column("z2")
+    assert col.flags.c_contiguous
+    assert np.shares_memory(col, ds.covariates)
+    assert np.array_equal(col, [r.covariates["z2"] for r in ds.rows()])
+
+
+def test_readers_hand_the_constructor_a_column_major_block(tmp_path, monkeypatch):
+    ds = random_panel(2, n_patients=4, n_cov=3)
+    path = tmp_path / "d.csv"
+    export_csv(ds, path)
+    cfg = ScenarioConfig(outcome="continuous", gamma_z=0.5, phi_true=0.0, n=3,
+                         scenario="s1_noSF_correctZ", n_reps=1)
+    blocks = constructor_blocks(monkeypatch)
+    load_csv(path)
+    generate(cfg, 0)
+    Dataset.from_rows(list(ds.rows()))
+    assert len(blocks) == 4
+    for passed, stored in blocks:
+        assert passed.flags.f_contiguous and not passed.flags.c_contiguous
+        # the constructor kept the block it was given: no copy
+        assert stored is passed
 
 
 # -- csv ---------------------------------------------------------------------

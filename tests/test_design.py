@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import grid_rows, random_panel
 from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec,
                     ValidationError, build_design, parse_term)
@@ -193,3 +194,51 @@ def test_standardization_is_affine_invariant(seed, shift, scale):
     a, _ = build_design(ds, spec, subset="all")
     b, _ = build_design(moved, spec, subset="all")
     assert np.allclose(a, b, atol=1e-10)
+
+
+# -- evaluate against the term-by-term oracle -----------------------------------
+
+_ORACLE_TERMS = (
+    "1", "z1", "z2", "pos", "std(z1)", "log1p(pos)", "sqrt(pos)",
+    "std(log1p(pos))", "t", "std(t)", "log1p(t)", "sqrt(t)", "std(sqrt(t))",
+    "period(0,2)", "period(1.5,3.5)", "z1*z2", "z2*z1", "z1*z1", "t*z1",
+    "std(z1)*t*z2", "z1*std(z1)", "period(0,2)*z1", "sqrt(t)*z2*z1",
+    "log1p(pos)*t", "std(t)*std(z1)", "std(t)*std(t)*z2",
+)
+
+
+def _with_covariates(ds, order):
+    """``ds`` with a positive covariate ``pos`` added, stored in ``order``."""
+    z = ds.covariates
+    cov = np.array(np.column_stack([z, np.abs(z[:, 0]) + 0.5]), order=order)
+    return Dataset(ds.patient_ids, ds.patient_index, ds.start, ds.end, ds.at_risk,
+                   ds.visit, ds.outcome, cov, ds.covariate_names + ("pos",), ds.tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from("CF"),
+       st.lists(st.sampled_from(_ORACLE_TERMS), min_size=1, max_size=10, unique=True),
+       st.data())
+def test_evaluate_matches_term_by_term_oracle(seed, order, terms, data):
+    ds = _with_covariates(random_panel(seed, n_patients=4, n_periods=4, n_cov=2),
+                          order)
+    spec = ModelMatrixSpec(terms)
+    bound = bind(ds, spec, "at_risk")
+    rows = np.array(data.draw(st.lists(st.integers(0, ds.n_rows - 1),
+                                       min_size=1, max_size=30)))
+    times = None
+    if data.draw(st.booleans()):
+        # any time inside each row's interval (start, end]
+        u = np.array(data.draw(st.lists(st.floats(0.0, 0.999), min_size=rows.size,
+                                        max_size=rows.size)))
+        times = ds.end[rows] - u * (ds.end[rows] - ds.start[rows])
+    before = [a.copy() for a in (ds.covariates, ds.end, times) if a is not None]
+    got = bound.evaluate(ds, rows, times)
+    want = oracles.design_matrix(ds, spec.terms, rows, times,
+                                 binding_rows=ds.at_risk_row_indices())
+    # bit for bit, signed zeros included
+    assert (np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+    # no memoized factor was written through to its source
+    after = [a for a in (ds.covariates, ds.end, times) if a is not None]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
