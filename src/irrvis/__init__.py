@@ -14,7 +14,7 @@ from .calibration import (CalibrationResult, calibrate, implicit_r2,
                           partial_r2, phi_from_target)
 from .cox import CoxFit, QValues, breslow_increments, fit_cox
 from .data import CountingProcessRow, Dataset, export_csv, load_csv
-from .design import ModelMatrixSpec, build_design, parse_term
+from .design import ModelMatrixSpec, parse_term
 from .errors import (BalanceInfeasibleError, ConvergenceError, IrrvisError,
                      NumericError, PipelineError, RankDeficiencyError,
                      SeparationError, ValidationError)
@@ -37,7 +37,7 @@ __all__ = [
     "PipelineError", "QValues", "RankDeficiencyError", "ScenarioConfig",
     "SelectionSpec", "SeparationError", "SweepResult", "ValidationError",
     "WeightSet", "analyze_once", "balance_report", "balancing_weights",
-    "bootstrap", "breslow_increments", "build_design", "calibrate",
+    "bootstrap", "breslow_increments", "calibrate",
     "estimate_dispersion", "export_csv", "fit_cox", "fit_weighted_gee",
     "Resampling", "complete_data_fit", "generate", "implicit_r2", "jackknife",
     "limiting_phi", "load_csv", "mle_weights", "parse_term", "partial_r2",

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox import fit_cox
-from .data import Dataset, _format_float
-from .design import ModelMatrixSpec, bind
+from .data import Dataset, _format_float, _write_csv
+from .design import BoundDesign, ModelMatrixSpec
 from .errors import NumericError, ValidationError, _stage
 from .riskset import RiskStructure
 from .weights import SelectionSpec
@@ -126,13 +126,8 @@ class CalibrationResult:
         ]
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["quantity", "value"])
-            for key, value in self.as_items():
-                writer.writerow([key, _format_float(value)])
+        _write_csv(path, ["quantity", "value"],
+                   ([key, _format_float(value)] for key, value in self.as_items()))
 
     def report(self) -> str:
         lines = [f"{key}={value!r}" for key, value in self.as_items()]
@@ -173,7 +168,7 @@ def calibrate(dataset: Dataset, zspec: ModelMatrixSpec, sel_transform: str,
     # each (at-risk row, event) pair is one patient-interval
     cox = _stage("calibration full fit", 0.0, lambda: fit_cox(dataset, zspec))
     rs = RiskStructure(dataset)
-    bound = bind(dataset, zspec, "at_risk")
+    bound = BoundDesign(dataset, zspec)
     eta = bound.evaluate(dataset, rs.cover_row, rs.cover_times()) @ cox.gamma
     log_p_full = eta + np.log(cox.increments)[rs.cover_event]
     if np.any(np.exp(log_p_full) > 0.2):

@@ -10,7 +10,6 @@ success, 1 for configuration or input problems, 2 for numeric failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import logging
 import os
@@ -23,7 +22,7 @@ import yaml
 from . import __version__
 from .calibration import calibrate
 from .cox import fit_cox
-from .data import _format_float, load_csv
+from .data import _format_float, _write_csv, load_csv
 from .design import ModelMatrixSpec
 from .errors import IrrvisError, PipelineError, ValidationError
 from .gee import MarginalModelSpec
@@ -88,6 +87,26 @@ def _get(section: dict, name: str, key: str, default=_MISSING):
     return default
 
 
+def _number(value, kind, name: str, key: str):
+    """``value`` of ``key`` in section ``name`` as ``kind`` (int or float)."""
+    try:
+        # a bool is an int, and int() would drop a fraction
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(value)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"key {key!r} in section {name!r} must be {what}, "
+                              f"got {value!r}") from None
+
+
+def _get_number(section: dict, name: str, key: str, kind, default=_MISSING):
+    """``_get`` of a number; a None default stays None."""
+    value = _get(section, name, key, default)
+    return None if value is None else _number(value, kind, name, key)
+
+
 def _terms(value, context: str) -> ModelMatrixSpec:
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{context} must be a non-empty list of term strings")
@@ -99,7 +118,7 @@ def _terms(value, context: str) -> ModelMatrixSpec:
 
 
 def _dataset(config: dict):
-    if "input" not in config:
+    if not isinstance(config.get("input"), str):
         raise ValidationError("config needs an 'input' CSV path")
     schema = config.get("schema")
     if schema is not None and not isinstance(schema, dict):
@@ -112,16 +131,16 @@ def _dataset(config: dict):
 
 def _outdir(config: dict, flag) -> str:
     out = flag or config.get("output")
-    if not out:
+    if not out or not isinstance(out, str):
         raise ValidationError("no output directory: set 'output' in the config "
-                              "or pass --output")
+                              "to a path or pass --output")
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _seed(config: dict) -> int:
     seed = config.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValidationError("'seed' must be a non-negative integer")
     return seed
 
@@ -142,33 +161,11 @@ def _write_manifest(outdir: str, command: str, config_path, seed: int) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_cox(path, cox) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["section", "key", "value"])
-        for name, value in zip(cox.names, cox.gamma):
-            writer.writerow(["coef", name, _format_float(value)])
-        for time, inc in zip(cox.event_times, cox.increments):
-            writer.writerow(["breslow", _format_float(time), _format_float(inc)])
-
-
-def _write_balance(path, report: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "residual", "standardized_residual", "zero_sd"])
-        for row in report:
-            writer.writerow([row["term"], _format_float(row["residual"]),
-                             _format_float(row["standardized_residual"]),
-                             int(row["zero_sd"])])
-
-
 def _marginal_model(section: dict, name: str) -> MarginalModelSpec:
     xspec = _terms(_get(section, name, "x_terms"), "x_terms")
     link = _get(section, name, "link", "identity")
     variance = _get(section, name, "variance", "constant")
-    theta = _get(section, name, "theta", None)
-    if theta is not None:
-        theta = float(theta)
+    theta = _get_number(section, name, "theta", float, None)
     return MarginalModelSpec(xspec, link=link, variance=variance, theta=theta)
 
 
@@ -193,10 +190,9 @@ def _analysis_config(config: dict) -> AnalysisConfig:
         raise ValidationError("phi_grid must be a list of numbers")
     kind_r = _get(section, "analyze", "resampling", "none")
     if kind_r == "bootstrap":
-        resampling = Resampling("bootstrap",
-                                int(_get(section, "analyze", "bootstrap_b", 200)),
-                                int(_get(section, "analyze", "bootstrap_seed",
-                                         _seed(config))))
+        b = _get_number(section, "analyze", "bootstrap_b", int, 200)
+        seed = _get_number(section, "analyze", "bootstrap_seed", int, _seed(config))
+        resampling = Resampling("bootstrap", b, seed)
     else:
         for key in ("bootstrap_b", "bootstrap_seed"):
             if section.get(key) is not None:
@@ -205,7 +201,8 @@ def _analysis_config(config: dict) -> AnalysisConfig:
         resampling = Resampling(kind_r)
     return AnalysisConfig(model=model, weight_kind=kind, zspec=zspec,
                           hspec=hspec, selection=selection,
-                          phi_grid=tuple(float(p) for p in grid),
+                          phi_grid=tuple(_number(p, float, "analyze", "phi_grid")
+                                         for p in grid),
                           resampling=resampling)
 
 
@@ -213,11 +210,18 @@ def _phi_artifacts(dataset, outdir, phi, cox, wset, balance) -> None:
     """Visit model, weight and (given a ``_BalanceReport``) balance files of
     one phi."""
     tag = format(phi, "g")
-    _write_cox(os.path.join(outdir, f"cox_phi{tag}.csv"), cox)
+    _write_csv(os.path.join(outdir, f"cox_phi{tag}.csv"), ["section", "key", "value"], [
+        *(["coef", name, _format_float(value)]
+          for name, value in zip(cox.names, cox.gamma)),
+        *(["breslow", _format_float(time), _format_float(inc)]
+          for time, inc in zip(cox.event_times, cox.increments))])
     export_weights(dataset, wset, os.path.join(outdir, f"weights_phi{tag}.csv"))
     if balance is not None:
-        _write_balance(os.path.join(outdir, f"balance_phi{tag}.csv"),
-                       balance.rows(wset.weights, cox))
+        _write_csv(os.path.join(outdir, f"balance_phi{tag}.csv"),
+                   ["term", "residual", "standardized_residual", "zero_sd"],
+                   ([row["term"], _format_float(row["residual"]),
+                     _format_float(row["standardized_residual"]), int(row["zero_sd"])]
+                    for row in balance.rows(wset.weights, cox)))
 
 
 def cmd_analyze(config: dict, config_path, outdir: str, threads) -> int:
@@ -245,10 +249,9 @@ def cmd_calibrate(config: dict, config_path, outdir: str, threads) -> int:
     section = _section(config, "calibrate")
     zspec = _terms(_get(section, "calibrate", "z_terms"), "z_terms")
     transform = _get(section, "calibrate", "selection_transform", "identity")
-    df = int(_get(section, "calibrate", "time_spline_df", 5))
-    target = _get(section, "calibrate", "target_rho2", None)
-    result = calibrate(dataset, zspec, transform, df,
-                       None if target is None else float(target))
+    df = _get_number(section, "calibrate", "time_spline_df", int, 5)
+    target = _get_number(section, "calibrate", "target_rho2", float, None)
+    result = calibrate(dataset, zspec, transform, df, target)
     result.to_csv(os.path.join(outdir, "calibration.csv"))
     with open(os.path.join(outdir, "calibration_report.txt"), "w") as fh:
         fh.write(result.report())
@@ -260,24 +263,22 @@ def cmd_simulate(config: dict, config_path, outdir: str, threads) -> int:
     section = _section(config, "simulate")
     cfg = ScenarioConfig(
         outcome=_get(section, "simulate", "outcome"),
-        gamma_z=float(_get(section, "simulate", "gamma_z")),
-        phi_true=float(_get(section, "simulate", "phi_true")),
-        n=int(_get(section, "simulate", "n")),
+        gamma_z=_get_number(section, "simulate", "gamma_z", float),
+        phi_true=_get_number(section, "simulate", "phi_true", float),
+        n=_get_number(section, "simulate", "n", int),
         scenario=_get(section, "simulate", "scenario"),
-        n_reps=int(_get(section, "simulate", "n_reps", 200)),
+        n_reps=_get_number(section, "simulate", "n_reps", int, 200),
         seed=_seed(config),
     )
     log.info("simulate: %s reps=%d n=%d", cfg.scenario, cfg.n_reps, cfg.n)
     table = run_study(cfg, threads)
     table.to_csv(os.path.join(outdir, "metrics.csv"))
-    with open(os.path.join(outdir, "replicates.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rep", "estimator", "parameter", "estimate"])
-        for estimator, block in table.estimates.items():
-            for rep in range(block.shape[0]):
-                for j, parameter in enumerate(("beta1", "beta2")):
-                    writer.writerow([rep, estimator, parameter,
-                                     _format_float(block[rep, j])])
+    _write_csv(os.path.join(outdir, "replicates.csv"),
+               ["rep", "estimator", "parameter", "estimate"],
+               ([rep, estimator, parameter, _format_float(block[rep, j])]
+                for estimator, block in table.estimates.items()
+                for rep in range(block.shape[0])
+                for j, parameter in enumerate(("beta1", "beta2"))))
     _write_manifest(outdir, "simulate", config_path, _seed(config))
     return 0
 
@@ -294,7 +295,7 @@ def cmd_weights(config: dict, config_path, outdir: str, threads) -> int:
         hspec = _terms(_get(section, "weights", "h_terms"), "h_terms")
     selection = SelectionSpec(_get(section, "weights", "selection_transform",
                                    "identity"))
-    phi = float(_get(section, "weights", "phi", 0.0))
+    phi = _get_number(section, "weights", "phi", float, 0.0)
     q = q_values(dataset, selection, phi)
     cox = fit_cox(dataset, zspec, q)
     if kind == "mle":

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _newton
 from .data import Dataset
-from .design import ModelMatrixSpec, bind
+from .design import BoundDesign, ModelMatrixSpec
 from .errors import RankDeficiencyError, SeparationError, ValidationError
 from .riskset import RiskStructure
 
@@ -75,7 +75,7 @@ class CoxFit:
 
     def linear_predictor(self, dataset: Dataset, rows: np.ndarray,
                          times: Optional[np.ndarray] = None) -> np.ndarray:
-        bound = bind(dataset, self.spec, "at_risk")
+        bound = BoundDesign(dataset, self.spec)
         if len(self.spec) == 0:
             return np.zeros(np.asarray(rows).shape[0])
         return bound.evaluate(dataset, rows, times) @ self.gamma
@@ -161,7 +161,7 @@ def fit_cox(dataset: Dataset, zspec: ModelMatrixSpec,
     information matrix raise distinct errors.
     """
     q_arr = (q if q is not None else _unit_q(dataset)).check(int(dataset.visit.sum()))
-    bound = bind(dataset, zspec, "at_risk")
+    bound = BoundDesign(dataset, zspec)
     rs = RiskStructure(dataset)
     return _fit(rs, *rs.design(bound, dataset), zspec, q_arr)
 
@@ -212,7 +212,7 @@ def breslow_increments(cox: CoxFit, dataset: Dataset, q: Optional[QValues] = Non
     Returns ``(event_times, increments)``, ties pooled, times ascending.
     """
     q_arr = (q if q is not None else _unit_q(dataset)).check(int(dataset.visit.sum()))
-    bound = bind(dataset, cox.spec, "at_risk")
+    bound = BoundDesign(dataset, cox.spec)
     rs = RiskStructure(dataset)
     pl = _PartialLikelihood(rs, *rs.design(bound, dataset), q_arr)
     return rs.event_times.copy(), pl.breslow(cox.gamma)

@@ -19,7 +19,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -221,20 +221,6 @@ class Dataset:
         except ValueError:
             raise ValidationError(f"unknown covariate {name!r}") from None
         return self.covariates[:, j]
-
-    def rows(self) -> Iterator[CountingProcessRow]:
-        """Iterate rows as :class:`CountingProcessRow` objects."""
-        for i in range(self.n_rows):
-            yield CountingProcessRow(
-                patient_id=self.patient_ids[self.patient_index[i]],
-                start=float(self.start[i]),
-                end=float(self.end[i]),
-                at_risk=bool(self.at_risk[i]),
-                visit=bool(self.visit[i]),
-                outcome=float(self.outcome[i]) if self.visit[i] else None,
-                covariates={k: float(v) for k, v in
-                            zip(self.covariate_names, self.covariates[i])},
-            )
 
     def take_patients(self, indices: Sequence[int]) -> "Dataset":
         """New dataset containing the given patients, in the given order.
@@ -451,6 +437,15 @@ def _format_float(x: float) -> str:
     # repr gives the shortest string that round-trips, so exports are
     # byte-stable across runs
     return repr(float(x))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV table, the ``header`` row then ``rows``, with newline
+    (not CRLF) line ends, as every CSV file the package writes has."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # rows formatted at a time by export_csv, bounding the memory its cell

@@ -29,7 +29,7 @@ from .errors import ValidationError
 
 __all__ = [
     "Term", "const", "cov", "time_term", "period", "interaction",
-    "parse_term", "ModelMatrixSpec", "BoundDesign", "bind", "build_design",
+    "parse_term", "ModelMatrixSpec", "BoundDesign",
 ]
 
 _TRANSFORMS = {
@@ -277,18 +277,3 @@ class BoundDesign:
                 out[j] = factor(term)
         return out.T
 
-
-def bind(dataset: Dataset, spec: ModelMatrixSpec, subset: str = "at_risk") -> BoundDesign:
-    """Freeze standardization statistics of ``spec`` on a subset of rows."""
-    return BoundDesign(dataset, spec, subset)
-
-
-def build_design(dataset: Dataset, spec: ModelMatrixSpec, subset: str = "all"):
-    """Build the design matrix for a row subset.
-
-    Returns ``(matrix, names)``.  Standardization statistics are computed
-    on the same subset.  Rows are evaluated at their own endpoints.
-    """
-    rows = _subset_rows(dataset, subset)
-    bound = BoundDesign(dataset, spec, subset)
-    return bound.evaluate(dataset, rows), list(bound.names)

@@ -25,8 +25,8 @@ stopped it; the command line writes its per-phi files from these.
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import cox, gee, weights
 from .cox import fit_cox
-from .data import Dataset, _format_float, _take_rows
+from .data import Dataset, _format_float, _take_rows, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
 from .errors import NumericError, ValidationError, _stage
 from .gee import MarginalModelSpec, fit_weighted_gee
@@ -44,8 +44,7 @@ from .weights import (SelectionSpec, WeightSet, balancing_weights,
                       mle_weights, q_values, BalanceSpec)
 
 __all__ = ["Resampling", "AnalysisConfig", "analyze_once", "jackknife",
-           "bootstrap", "sweep", "SweepResult", "ResampleSE",
-           "BootstrapResult"]
+           "bootstrap", "sweep", "SweepResult", "ResampleSE"]
 
 _CI_Z = 1.96
 
@@ -81,15 +80,14 @@ class AnalysisConfig:
     selection: SelectionSpec = field(default_factory=SelectionSpec)
     phi_grid: tuple = (0.0,)
     resampling: Resampling = field(default_factory=Resampling)
-    balance: BalanceSpec = None
+    balance: Optional[BalanceSpec] = field(init=False)  # from hspec, if any
 
     def __post_init__(self):
         if self.weight_kind not in _WEIGHT_KINDS:
             raise ValidationError(f"unknown weight kind {self.weight_kind!r}")
         if self.weight_kind != "none" and self.zspec is None:
             raise ValidationError("weighted analysis needs visit-model terms")
-        if self.weight_kind == "balancing" and self.hspec is None \
-                and self.balance is None:
+        if self.weight_kind == "balancing" and self.hspec is None:
             raise ValidationError("balancing weights need balance terms")
         grid = tuple(float(p) for p in self.phi_grid)
         if not grid:
@@ -99,8 +97,8 @@ class AnalysisConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("phi grid must be strictly increasing")
         object.__setattr__(self, "phi_grid", grid)
-        if self.balance is None and self.hspec is not None:
-            object.__setattr__(self, "balance", BalanceSpec(self.hspec))
+        object.__setattr__(self, "balance", None if self.hspec is None
+                           else BalanceSpec(self.hspec))
 
 
 def analyze_once(dataset: Dataset, config: AnalysisConfig, phi: float):
@@ -296,13 +294,19 @@ class ResampleSE:
     n_failed: int
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    se: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    n_used: int
-    n_failed: int
+def _refits(prepared: _Prepared, draws, phi: float):
+    """``(estimates, n_failed)``: the coefficient rows of the resamples in
+    ``draws`` that fitted, in draw order, and how many failed."""
+    estimates = []
+    n_failed = 0
+    for patients in draws:
+        try:
+            fit, _ = prepared.analyze(patients, phi)
+        except NumericError:
+            n_failed += 1
+            continue
+        estimates.append(fit.beta)
+    return np.asarray(estimates), n_failed
 
 
 def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float, *,
@@ -323,19 +327,10 @@ def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float, *,
         raise ValidationError("jackknife needs at least 2 patients")
     prepared = _prepared if _prepared is not None else _Prepared(dataset, config)
     keep = np.arange(n)
-    estimates = []
-    n_failed = 0
-    for k in range(n):
-        try:
-            fit, _ = prepared.analyze(np.delete(keep, k), phi)
-        except NumericError:
-            n_failed += 1
-            continue
-        estimates.append(fit.beta)
-    if len(estimates) < 2:
+    est, n_failed = _refits(prepared, (np.delete(keep, k) for k in range(n)), phi)
+    m = len(est)
+    if m < 2:
         raise NumericError("jackknife: fewer than 2 deletions converged")
-    est = np.asarray(estimates)
-    m = est.shape[0]
     dev = est - est.mean(axis=0)
     se = np.sqrt((m - 1) / m * (dev * dev).sum(axis=0))
     return ResampleSE(se, m, n_failed)
@@ -343,8 +338,8 @@ def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float, *,
 
 def bootstrap(dataset: Dataset, config: AnalysisConfig, phi: float,
               b: int, seed: int, *,
-              _prepared: Optional[_Prepared] = None) -> BootstrapResult:
-    """Patient-level bootstrap: SE from the replicate SD, percentile CIs.
+              _prepared: Optional[_Prepared] = None) -> ResampleSE:
+    """Patient-level bootstrap: SE from the replicate SD.
 
     Replicate r draws patients with a dedicated substream(seed, r), so any
     subset of replicates is reproducible in isolation.  A drawn patient
@@ -353,27 +348,14 @@ def bootstrap(dataset: Dataset, config: AnalysisConfig, phi: float,
     """
     n = dataset.n_patients
     prepared = _prepared if _prepared is not None else _Prepared(dataset, config)
-    estimates = []
-    n_failed = 0
-    for r in range(b):
-        rng = substream(seed, r)
-        try:
-            fit, _ = prepared.analyze(rng.integers(0, n, size=n), phi)
-        except NumericError:
-            n_failed += 1
-            continue
-        estimates.append(fit.beta)
-    if not estimates:
+    draws = (substream(seed, r).integers(0, n, size=n) for r in range(b))
+    est, n_failed = _refits(prepared, draws, phi)
+    if len(est) == 0:
         raise NumericError("bootstrap: no replicate converged")
     if n_failed > 0.1 * b:
-        import warnings
-
         warnings.warn(f"bootstrap: {n_failed} of {b} replicates failed")
-    est = np.asarray(estimates)
     se = est.std(axis=0, ddof=1) if est.shape[0] > 1 else np.full(est.shape[1], np.nan)
-    ci_lo = np.quantile(est, 0.025, axis=0)
-    ci_hi = np.quantile(est, 0.975, axis=0)
-    return BootstrapResult(se, ci_lo, ci_hi, est.shape[0], n_failed)
+    return ResampleSE(se, est.shape[0], n_failed)
 
 
 _SWEEP_COLUMNS = ("phi", "term", "estimate", "se", "ci_lo", "ci_hi",
@@ -391,15 +373,11 @@ class SweepResult:
     fits: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SWEEP_COLUMNS)
-            for row in self.rows:
-                writer.writerow([
-                    _format_float(row["phi"]), row["term"],
-                    *(_format_float(row[c]) for c in _SWEEP_COLUMNS[2:-1]),
-                    int(row["converged"]),
-                ])
+        _write_csv(path, _SWEEP_COLUMNS, (
+            [_format_float(row["phi"]), row["term"],
+             *(_format_float(row[c]) for c in _SWEEP_COLUMNS[2:-1]),
+             int(row["converged"])]
+            for row in self.rows))
 
     def estimates(self, term: str) -> np.ndarray:
         return np.array([r["estimate"] for r in self.rows if r["term"] == term])

@@ -48,7 +48,7 @@ import numpy as np
 
 from ._newton import maximize
 from .cox import fit_cox
-from .data import Dataset, _format_float
+from .data import Dataset, _format_float, _write_csv
 from .design import ModelMatrixSpec
 from .errors import IrrvisError, NumericError, ValidationError
 from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
@@ -368,16 +368,11 @@ class MetricsTable:
     max_balance_residual: Optional[float]
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["estimator", "parameter", "bias", "sd", "rmse",
-                             "mc_se_bias", "n_failed"])
-            for r in self.rows:
-                floats = (r[k] for k in ("bias", "sd", "rmse", "mc_se_bias"))
-                writer.writerow([r["estimator"], r["parameter"],
-                                 *map(_format_float, floats), r["n_failed"]])
+        floats = ("bias", "sd", "rmse", "mc_se_bias")
+        _write_csv(path, ["estimator", "parameter", *floats, "n_failed"],
+                   ([r["estimator"], r["parameter"],
+                     *(_format_float(r[k]) for k in floats), r["n_failed"]]
+                    for r in self.rows))
 
 
 def _weight_phi(cfg: ScenarioConfig) -> float:

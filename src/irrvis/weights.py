@@ -37,7 +37,7 @@ import numpy as np
 from ._newton import is_positive_definite, maximize
 from .cox import CoxFit, QValues
 from .data import Dataset, _csv_cells, _reprs
-from .design import ModelMatrixSpec, bind
+from .design import BoundDesign, ModelMatrixSpec
 from .errors import (BalanceInfeasibleError, NumericError, RankDeficiencyError,
                      ValidationError)
 from .riskset import RiskStructure
@@ -191,7 +191,7 @@ class _BalanceSystem:
 def _balance_system(dataset: Dataset, hspec: ModelMatrixSpec, q_arr: np.ndarray,
                     breslow) -> _BalanceSystem:
     rs = RiskStructure(dataset)
-    h_cover, h_visit = rs.design(bind(dataset, hspec, "at_risk"), dataset)
+    h_cover, h_visit = rs.design(BoundDesign(dataset, hspec), dataset)
     return _BalanceSystem(rs, h_cover, h_visit, q_arr, breslow)
 
 
@@ -261,7 +261,7 @@ class _BalanceReport:
     def __init__(self, dataset: Dataset, hspec: ModelMatrixSpec):
         self.names = hspec.names
         self.rs = RiskStructure(dataset)
-        bound = bind(dataset, hspec, "at_risk")
+        bound = BoundDesign(dataset, hspec)
         self.h_cover, self.h_visit = self.rs.design(bound, dataset)
         h_risk = bound.evaluate(dataset, dataset.at_risk_row_indices())
         # one contiguous column at a time; the design is dropped after

@@ -1,8 +1,10 @@
-"""Builders for the small synthetic datasets used across the test suite."""
+"""Builders for the small synthetic datasets used across the test suite,
+and row-level views of datasets and designs that only the tests need."""
 
 import numpy as np
 
 from irrvis import CountingProcessRow, Dataset
+from irrvis.design import BoundDesign, _subset_rows
 
 
 def grid_rows(pid, cov, visits, n_periods=4, step=1.0, censored_from=None):
@@ -65,3 +67,26 @@ def drawn_positions(rows_of_full, bounds, draw):
     rows = rows_of_full[by_row]
     return np.concatenate([by_row[(rows >= bounds[i]) & (rows < bounds[i + 1])]
                            for i in draw])
+
+
+def dataset_rows(dataset):
+    """The rows of ``dataset`` as :class:`CountingProcessRow` objects."""
+    for i in range(dataset.n_rows):
+        yield CountingProcessRow(
+            patient_id=dataset.patient_ids[dataset.patient_index[i]],
+            start=float(dataset.start[i]),
+            end=float(dataset.end[i]),
+            at_risk=bool(dataset.at_risk[i]),
+            visit=bool(dataset.visit[i]),
+            outcome=float(dataset.outcome[i]) if dataset.visit[i] else None,
+            covariates={k: float(v) for k, v in
+                        zip(dataset.covariate_names, dataset.covariates[i])},
+        )
+
+
+def build_design(dataset, spec, subset="all"):
+    """``(matrix, names)``: the design of ``spec`` on a row subset, with
+    standardization statistics from the same subset, each row evaluated at
+    its own endpoint."""
+    bound = BoundDesign(dataset, spec, subset)
+    return bound.evaluate(dataset, _subset_rows(dataset, subset)), list(bound.names)

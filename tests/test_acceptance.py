@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import random_panel
+from helpers import build_design, random_panel
 from irrvis import (Dataset, MarginalModelSpec, ModelMatrixSpec, QValues,
                     ScenarioConfig, balance_report, complete_data_fit,
                     fit_cox, fit_weighted_gee, generate, implicit_r2,
                     phi_from_target, calibrate, q_values, run_study)
 from irrvis.cox import breslow_increments
-from irrvis.design import build_design
 from irrvis.simlab import GRID_TIMES, TAU
 
 

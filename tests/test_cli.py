@@ -287,6 +287,56 @@ def test_calibrate_config_error_exits_1(tmp_path, capsys, terms):
     assert "stage" not in err
 
 
+SIMULATE = {"outcome": "continuous", "gamma_z": 0.5, "phi_true": 0.0, "n": 40,
+            "scenario": "s1_noSF_correctZ", "n_reps": 2}
+ANALYZE = {"x_terms": ["1", "z1"]}
+BOOTSTRAP = {**ANALYZE, "resampling": "bootstrap"}
+WEIGHTS = {"kind": "mle", "z_terms": ["z1"]}
+CALIBRATE = {"z_terms": ["z1"]}
+
+
+MISTYPED = [
+    ("simulate", SIMULATE, "n", "ten", "key 'n' in section 'simulate'"),
+    ("simulate", SIMULATE, "n", 40.5, "key 'n' in section 'simulate'"),
+    ("simulate", SIMULATE, "n", True, "key 'n' in section 'simulate'"),
+    ("simulate", SIMULATE, "gamma_z", "strong", "key 'gamma_z' in section"),
+    ("simulate", SIMULATE, "phi_true", [0.5], "key 'phi_true' in section"),
+    ("simulate", SIMULATE, "n_reps", "many", "key 'n_reps' in section"),
+    ("analyze", ANALYZE, "theta", "wide", "key 'theta' in section 'analyze'"),
+    ("analyze", ANALYZE, "phi_grid", [0.0, "half"], "key 'phi_grid' in section"),
+    ("analyze", ANALYZE, "phi_grid", [False, 1.0], "key 'phi_grid' in section"),
+    ("analyze", BOOTSTRAP, "bootstrap_b", "many", "key 'bootstrap_b' in section"),
+    ("analyze", BOOTSTRAP, "bootstrap_seed", {"a": 1}, "key 'bootstrap_seed'"),
+    ("calibrate", CALIBRATE, "time_spline_df", "five", "key 'time_spline_df'"),
+    ("calibrate", CALIBRATE, "target_rho2", "high", "key 'target_rho2'"),
+    ("weights", WEIGHTS, "phi", "half", "key 'phi' in section 'weights'"),
+    ("simulate", SIMULATE, "seed", True, "'seed' must be a non-negative integer"),
+    ("analyze", ANALYZE, "input", ["panel.csv"], "needs an 'input' CSV path"),
+    ("analyze", ANALYZE, "output", 5, "no output directory"),
+]
+
+
+@pytest.mark.parametrize("command, section, key, value, message", MISTYPED,
+                         ids=[f"{c[0]}-{c[2]}={c[3]!r}" for c in MISTYPED])
+def test_mistyped_config_value_exits_1(tmp_path, capsys, command, section, key,
+                                       value, message):
+    payload = {command: dict(section)}
+    if command != "simulate":
+        payload["input"] = panel_csv(tmp_path)
+    if key in ("seed", "input", "output"):
+        payload[key] = value
+    else:
+        payload[command][key] = value
+    argv = [command, "--config", write_config(tmp_path / "c.yaml", payload)]
+    if key != "output":
+        argv += ["--output", str(tmp_path / "o")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("irrvis:")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_unknown_section_key_names_it(tmp_path, capsys):
     cfg = write_config(tmp_path / "a.yaml", {
         "input": panel_csv(tmp_path),

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import drawn_positions, grid_rows, random_panel
+from helpers import dataset_rows, drawn_positions, grid_rows, random_panel
 from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec, QValues,
                     RankDeficiencyError,
                     ScenarioConfig, SeparationError, ValidationError,
                     breslow_increments, fit_cox, generate)
 from irrvis.cox import _PartialLikelihood
-from irrvis.design import bind
+from irrvis.design import BoundDesign
 from irrvis.riskset import RiskStructure
 
 
@@ -139,7 +139,7 @@ def test_kernel_matches_oracle_on_panels_and_resamples(seed, draw):
     gamma = rng.uniform(-0.8, 0.8, len(KERNEL_TERMS))
     spec = ModelMatrixSpec(KERNEL_TERMS)
     rs = RiskStructure(ds)
-    z_cover, z_visit = rs.design(bind(ds, spec, "at_risk"), ds)
+    z_cover, z_visit = rs.design(BoundDesign(ds, spec), ds)
     q = rng.uniform(0.5, 2.0, rs.visit_rows.size)
     assert_kernel_matches_oracle(_PartialLikelihood(rs, z_cover, z_visit, q),
                                  ds, gamma, q)
@@ -170,7 +170,7 @@ def test_covariate_shift_invariance():
     shifted = Dataset.from_rows([
         r.__class__(r.patient_id, r.start, r.end, r.at_risk, r.visit,
                     r.outcome, {"z1": r.covariates["z1"] + 5.0})
-        for r in base.rows()
+        for r in dataset_rows(base)
     ], tau=base.tau)
     a = fit_cox(base, ModelMatrixSpec(["z1"]))
     b = fit_cox(shifted, ModelMatrixSpec(["z1"]))
@@ -182,7 +182,7 @@ def test_covariate_scale_equivariance():
     scaled = Dataset.from_rows([
         r.__class__(r.patient_id, r.start, r.end, r.at_risk, r.visit,
                     r.outcome, {"z1": r.covariates["z1"] / 100.0})
-        for r in base.rows()
+        for r in dataset_rows(base)
     ], tau=base.tau)
     a = fit_cox(base, ModelMatrixSpec(["z1"]))
     b = fit_cox(scaled, ModelMatrixSpec(["z1"]))
@@ -214,7 +214,7 @@ def test_collinear_covariates_rejected():
         r.__class__(r.patient_id, r.start, r.end, r.at_risk, r.visit,
                     r.outcome,
                     {"z1": r.covariates["z1"], "z2": 2.0 * r.covariates["z1"]})
-        for r in ds.rows()
+        for r in dataset_rows(ds)
     ], tau=ds.tau)
     with pytest.raises(RankDeficiencyError, match="rank deficient"):
         fit_cox(doubled, ModelMatrixSpec(["z1", "z2"]))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irrvis.data
-from helpers import grid_rows, random_panel, two_patient_dataset, two_patient_rows
+from helpers import (dataset_rows, grid_rows, random_panel, two_patient_dataset,
+                     two_patient_rows)
 from irrvis import (CountingProcessRow, Dataset, ScenarioConfig, ValidationError,
                     export_csv, generate, load_csv)
 from oracles import export_csv_rows, load_csv_rows
@@ -70,7 +71,7 @@ def test_row_order_is_canonicalized():
 
 def test_rows_iterator_round_trips():
     ds = two_patient_dataset()
-    again = Dataset.from_rows(list(ds.rows()), tau=ds.tau)
+    again = Dataset.from_rows(list(dataset_rows(ds)), tau=ds.tau)
     assert np.array_equal(ds.covariates, again.covariates)
     assert np.array_equal(ds.outcome, again.outcome, equal_nan=True)
 
@@ -185,7 +186,7 @@ def test_covariate_column_is_a_contiguous_view():
     col = ds.covariate_column("z2")
     assert col.flags.c_contiguous
     assert np.shares_memory(col, ds.covariates)
-    assert np.array_equal(col, [r.covariates["z2"] for r in ds.rows()])
+    assert np.array_equal(col, [r.covariates["z2"] for r in dataset_rows(ds)])
 
 
 def test_readers_hand_the_constructor_a_column_major_block(tmp_path, monkeypatch):
@@ -197,7 +198,7 @@ def test_readers_hand_the_constructor_a_column_major_block(tmp_path, monkeypatch
     blocks = constructor_blocks(monkeypatch)
     load_csv(path)
     generate(cfg, 0)
-    Dataset.from_rows(list(ds.rows()))
+    Dataset.from_rows(list(dataset_rows(ds)))
     assert len(blocks) == 4
     for passed, stored in blocks:
         assert passed.flags.f_contiguous and not passed.flags.c_contiguous
@@ -386,7 +387,7 @@ def test_load_csv_matches_row_reference(tmp_path_factory, seed, ids, quoting,
         return " " * rnd.randint(0, 2) + text + " " * rnd.randint(0, 2) if pad else text
 
     records = []
-    for r in ds.rows():
+    for r in dataset_rows(ds):
         outcome = number(r.outcome) if r.visit else " " * rnd.randint(0, pad * 2)
         cells = [ids[int(r.patient_id[1:])], number(r.start), number(r.end),
                  str(int(r.at_risk)), str(int(r.visit)), outcome,

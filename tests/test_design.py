@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import grid_rows, random_panel
+from helpers import build_design, dataset_rows, grid_rows, random_panel
 from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec,
-                    ValidationError, build_design, parse_term)
-from irrvis.design import bind
+                    ValidationError, parse_term)
+from irrvis.design import BoundDesign
 
 
 def dataset_with(cov_by_patient, visits=(1,), n_periods=2):
@@ -98,7 +98,7 @@ def test_transform_applies_before_standardization():
     ds = Dataset.from_rows([
         CountingProcessRow(r.patient_id, r.start, r.end, r.at_risk, r.visit,
                            r.outcome, {"z1": abs(r.covariates["z1"]) + 0.5})
-        for r in ds.rows()
+        for r in dataset_rows(ds)
     ], tau=ds.tau)
     mat, _ = build_design(ds, ModelMatrixSpec(["std(log1p(z1))"]), subset="all")
     v = np.log1p(ds.covariate_column("z1"))
@@ -122,7 +122,7 @@ def test_period_indicator_is_half_open():
 
 def test_evaluate_at_explicit_times():
     ds = dataset_with([{"x": 2.0}])
-    bound = bind(ds, ModelMatrixSpec(["t", "t*x"]), "at_risk")
+    bound = BoundDesign(ds, ModelMatrixSpec(["t", "t*x"]))
     out = bound.evaluate(ds, np.array([0, 0, 1]), np.array([0.25, 0.75, 1.5]))
     assert np.allclose(out[:, 0], [0.25, 0.75, 1.5])
     assert np.allclose(out[:, 1], [0.5, 1.5, 3.0])
@@ -133,7 +133,7 @@ def test_evaluate_at_explicit_times():
 def test_evaluate_returns_column_major():
     # fits read a design one term at a time, so each column is contiguous
     ds = random_panel(4, n_patients=3)
-    bound = bind(ds, ModelMatrixSpec(["1", "z1", "t*z1"]), "at_risk")
+    bound = BoundDesign(ds, ModelMatrixSpec(["1", "z1", "t*z1"]))
     rows = ds.at_risk_row_indices()
     out = bound.evaluate(ds, rows)
     assert out.shape == (rows.size, 3)
@@ -173,7 +173,7 @@ def test_standardization_stats_follow_binding_subset():
 
 def test_binding_is_frozen_not_recomputed():
     ds = dataset_with([{"x": 0.0}, {"x": 2.0}], n_periods=1)
-    bound = bind(ds, ModelMatrixSpec(["std(x)"]), "at_risk")
+    bound = BoundDesign(ds, ModelMatrixSpec(["std(x)"]))
     # evaluating a sub-slice reuses the frozen stats instead of new ones
     out = bound.evaluate(ds, np.array([0]))
     assert np.allclose(out[0, 0], -1.0 / (2.0 * np.sqrt(2.0)))
@@ -188,7 +188,7 @@ def test_standardization_is_affine_invariant(seed, shift, scale):
     moved = Dataset.from_rows([
         CountingProcessRow(r.patient_id, r.start, r.end, r.at_risk, r.visit,
                            r.outcome, {"z1": shift + scale * r.covariates["z1"]})
-        for r in ds.rows()
+        for r in dataset_rows(ds)
     ], tau=ds.tau)
     spec = ModelMatrixSpec(["std(z1)"])
     a, _ = build_design(ds, spec, subset="all")
@@ -223,7 +223,7 @@ def test_evaluate_matches_term_by_term_oracle(seed, order, terms, data):
     ds = _with_covariates(random_panel(seed, n_patients=4, n_periods=4, n_cov=2),
                           order)
     spec = ModelMatrixSpec(terms)
-    bound = bind(ds, spec, "at_risk")
+    bound = BoundDesign(ds, spec)
     rows = np.array(data.draw(st.lists(st.integers(0, ds.n_rows - 1),
                                        min_size=1, max_size=30)))
     times = None

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import grid_rows, random_panel
+from helpers import build_design, grid_rows, random_panel
 from irrvis import (Dataset, CountingProcessRow, MarginalModelSpec,
                     ModelMatrixSpec, NumericError, RankDeficiencyError,
                     ValidationError, estimate_dispersion, fit_weighted_gee)
 from irrvis._newton import TOL
-from irrvis.design import build_design
 
 
 def outcome_panel(values, cov=None):

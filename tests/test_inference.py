@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import warnings
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_rows, random_panel
-from irrvis import (AnalysisConfig, Dataset, IrrvisError, MarginalModelSpec,
-                    ModelMatrixSpec, NumericError, PipelineError, Resampling,
+from irrvis import (AnalysisConfig, BalanceSpec, Dataset, IrrvisError,
+                    MarginalModelSpec, ModelMatrixSpec, NumericError,
+                    PipelineError, Resampling,
                     ValidationError, analyze_once, bootstrap, fit_weighted_gee,
                     jackknife, sweep, q_values, fit_cox, mle_weights,
                     SelectionSpec, substream)
@@ -67,6 +69,27 @@ def test_config_builds_balance_from_hspec():
                          hspec=ModelMatrixSpec(["1", "z1"]))
     assert cfg.balance is not None
     assert tuple(cfg.balance.hspec.names) == ("1", "z1")
+
+
+@pytest.mark.parametrize("kind", ["balancing", "mle"])
+def test_config_balance_is_derived_from_hspec(kind):
+    hspec = ModelMatrixSpec(["1", "z1"])
+    cfg = AnalysisConfig(model=IDENT, weight_kind=kind,
+                         zspec=ModelMatrixSpec(["z1"]), hspec=hspec)
+    assert isinstance(cfg.balance, BalanceSpec)
+    assert cfg.balance.hspec is cfg.hspec
+    assert [f.name for f in dataclasses.fields(cfg) if f.init] == [
+        "model", "weight_kind", "zspec", "hspec", "selection", "phi_grid",
+        "resampling"]
+    with pytest.raises(TypeError):
+        AnalysisConfig(model=IDENT, weight_kind=kind,
+                       zspec=ModelMatrixSpec(["z1"]), hspec=hspec,
+                       balance=BalanceSpec(ModelMatrixSpec(["1", "z2"])))
+    with pytest.raises(ValidationError, match="constant term 1"):
+        AnalysisConfig(model=IDENT, weight_kind=kind,
+                       zspec=ModelMatrixSpec(["z1"]),
+                       hspec=ModelMatrixSpec(["z1"]))
+    assert mle_config().balance is None
 
 
 # -- single pass -------------------------------------------------------------
@@ -194,8 +217,6 @@ def test_bootstrap_matches_manual_replication():
                                       weights=None).beta)
     est = np.asarray(betas)
     assert np.array_equal(res.se, est.std(axis=0, ddof=1))
-    assert np.array_equal(res.ci_lo, np.quantile(est, 0.025, axis=0))
-    assert np.array_equal(res.ci_hi, np.quantile(est, 0.975, axis=0))
     assert res.n_used == 16 and res.n_failed == 0
 
 
@@ -207,7 +228,6 @@ def test_bootstrap_seed_changes_replicates():
     c = bootstrap(ds, cfg, 0.0, b=16, seed=10)
     assert np.array_equal(a.se, b.se)
     assert not np.array_equal(a.se, c.se)
-    assert np.all(a.ci_lo <= a.ci_hi)
 
 
 def test_bootstrap_no_replicate_converged():

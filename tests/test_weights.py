@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import grid_rows, random_panel
+from helpers import dataset_rows, grid_rows, random_panel
 from irrvis import (BalanceInfeasibleError, CountingProcessRow, Dataset,
                     ModelMatrixSpec, NumericError, QValues,
                     RankDeficiencyError, ScenarioConfig, SelectionSpec,
@@ -191,7 +191,7 @@ def test_collinear_balance_terms_rejected():
                            r.outcome,
                            {"z1": r.covariates["z1"],
                             "z2": 2.0 * r.covariates["z1"]})
-        for r in ds.rows()
+        for r in dataset_rows(ds)
     ], tau=ds.tau)
     q = q_values(doubled, SelectionSpec(), 0.0)
     cox = fit_cox(doubled, ModelMatrixSpec(["z1"]), q=q)
@@ -221,7 +221,7 @@ def test_degenerate_term_dropped_with_warning():
         CountingProcessRow(r.patient_id, r.start, r.end, r.at_risk, r.visit,
                            r.outcome,
                            {"z1": r.covariates["z1"], "flat": 1.0})
-        for r in ds.rows()
+        for r in dataset_rows(ds)
     ], tau=ds.tau)
     q = q_values(flat, SelectionSpec(), 0.0)
     cox = fit_cox(flat, ModelMatrixSpec(["z1"]), q=q)
