@@ -9,8 +9,8 @@ or lowers ``f`` by more than a rounding margin; a rejected step is halved.
 Each merit is ascent-safe: ``g' H^-1 g > 0``, so ``f`` rises along a short
 enough step and halving ends wherever ``f`` is smooth.
 
-* Visit-intensity fit (``cox.fit_cox``) and the limiting grid fit
-  (``simlab._fit_grid_cox``): ``f`` is the concave log partial likelihood,
+* Visit-intensity fits on ``cox._PartialLikelihood`` (``cox.fit_cox`` and
+  ``simlab.limiting_phi``): ``f`` is the concave log partial likelihood,
   ``g`` its gradient (the score) and ``H`` its negated Hessian.
 * Balance conditions (``weights.balancing_weights``): ``f = -c`` for the
   strictly convex dual objective ``c``, ``g = -grad c`` (the negated balance

@@ -26,7 +26,7 @@ from .data import _format_float, _write_csv, load_csv
 from .design import ModelMatrixSpec
 from .errors import IrrvisError, PipelineError, ValidationError
 from .gee import MarginalModelSpec
-from .inference import AnalysisConfig, Resampling, sweep
+from .inference import _WEIGHT_KINDS, AnalysisConfig, Resampling, sweep
 from .simlab import ScenarioConfig, run_study
 from .weights import (SelectionSpec, _BalanceReport, balancing_weights,
                       export_weights, mle_weights, q_values)
@@ -172,6 +172,8 @@ def _marginal_model(section: dict, name: str) -> MarginalModelSpec:
 def _analysis_config(config: dict) -> AnalysisConfig:
     section = _section(config, "analyze")
     kind = _get(section, "analyze", "weight_kind", "none")
+    if kind not in _WEIGHT_KINDS:
+        raise ValidationError(f"unknown weight kind {kind!r} in section 'analyze'")
     model = _marginal_model(section, "analyze")
     zspec = hspec = None
     if kind == "none":

@@ -38,6 +38,9 @@ __all__ = ["QValues", "CoxFit", "fit_cox", "breslow_increments"]
 # likelihood rather than a usable optimum
 DIVERGENCE_BOUND = 30.0
 
+# incidence pairs per step of the likelihood: its workspace stays in L2 cache
+_BLOCK_PAIRS = 1 << 15
+
 
 @dataclass(frozen=True)
 class QValues:
@@ -84,11 +87,14 @@ class CoxFit:
 class _PartialLikelihood:
     """Objective, score and information for one risk structure, design and Q.
 
-    ``z_cover`` holds the design on the structure's incidence pairs and
-    ``z_visit`` on its visit rows.  Evaluation works on ``z_cover.T``, a
-    ``(p, M)`` array that is C-contiguous when ``z_cover`` comes from
-    :meth:`BoundDesign.evaluate` (column-major), and on one ``(p + 1, M)``
-    workspace kept for the life of the likelihood.
+    ``z_cover`` (float64 or float32) holds the design on the structure's
+    incidence pairs and ``z_visit`` on its visit rows.  Evaluation sums in
+    float64 over ``z_cover.T``, C-contiguous when ``z_cover`` comes from
+    :meth:`BoundDesign.evaluate`, in the :meth:`RiskStructure.blocks` of
+    :data:`_BLOCK_PAIRS` and one ``(p + 1, block)`` workspace, each range
+    shifted by its largest linear predictor.  The pieces of a larger event
+    merge S0, S1 and the unweighted second moment under the larger shift,
+    weighting the moment by ``A_k / S0_k`` after the last piece.
     """
 
     def __init__(self, rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
@@ -99,42 +105,57 @@ class _PartialLikelihood:
         self.q = q
         self.a = rs.pooled_visit_sum(q)                          # A_k
         self.visit_score = q @ z_visit                           # sum_v Q z
-        self.n = rs.n
+        self.ranges = rs.blocks(_BLOCK_PAIRS)
         # row 0: exp(eta - shift) per pair; rows 1..p: z times that
-        self.work = np.empty((self.zt.shape[0] + 1, self.zt.shape[1]))
-        # (gamma, S0, shift) of the latest evaluation, for breslow()
+        self.work = np.empty((len(self.zt) + 1, min(self.zt.shape[1], _BLOCK_PAIRS)))
+        # (gamma, S0, shifts) of the latest evaluation, for breslow()
         self.last = None
 
-    def at(self, gamma: np.ndarray, need_hessian: bool = True):
-        e, ze = self.work[0], self.work[1:]
-        np.matmul(gamma, self.zt, out=e)
-        shift = e.max()
-        e -= shift
-        np.exp(e, out=e)
-        np.multiply(self.zt, e, out=ze)
-        sums = self.rs.event_sum(self.work)
-        s0, s1 = sums[0], sums[1:]
-        RiskStructure.check_positive(s0)
+    def at(self, gamma: np.ndarray):
+        rs, p = self.rs, self.zt.shape[0]
+        s0, s1, shift = np.empty(rs.K), np.empty((p, rs.K)), np.empty(rs.K)
+        second = np.zeros((p, p))
+        split = None      # (shift, S0, S1, second moment) so far of a split event
+        for lo, hi, k0, k1, offsets in self.ranges:
+            z = self.zt[:, lo:hi].astype(np.float64, copy=False)  # cast if float32
+            work = self.work[:, :hi - lo]
+            e, ze = work[0], work[1:]
+            np.matmul(gamma, z, out=e)
+            c = e.max()
+            e -= c
+            np.exp(e, out=e)
+            np.multiply(z, e, out=ze)
+            sums = np.add.reduceat(work, offsets, axis=-1)
+            RiskStructure.check_positive(sums[0])
+            start, end = rs.event_starts[k0], rs.event_starts[k0] + rs.event_counts[k0]
+            if lo == start and hi >= end:                        # whole events
+                s0[k0:k1], s1[:, k0:k1], shift[k0:k1] = sums[0], sums[1:], c
+                ze *= np.repeat(self.a[k0:k1] / sums[0], rs.event_counts[k0:k1])
+                second += ze @ z.T
+                continue
+            piece = (c, sums[0, 0], sums[1:, 0], ze @ z.T)
+            if lo > start:
+                top = max(c, split[0])
+                piece = (top, *(x * np.exp(split[0] - top) + y * np.exp(c - top)
+                                for x, y in zip(split[1:], piece[1:])))
+            split = piece
+            if hi == end:
+                shift[k0], s0[k0], s1[:, k0] = split[:3]
+                second += self.a[k0] / s0[k0] * split[3]
         self.last = (gamma.copy(), s0, shift)
-        # the shift cancels: A_k log(S0 e^shift) contributes A_k shift,
-        # matched by sum_v Q eta_v = sum over events of A_k * (mean eta)
+        # each shift cancels: A_k log(S0_k e^shift_k) contributes A_k shift_k,
+        # matched by the event's share of sum_v Q eta_v
         loglik = (self.q @ (self.z_visit @ gamma)
-                  - self.a @ (np.log(s0) + shift)) / self.n
+                  - self.a @ (np.log(s0) + shift)) / rs.n
         mean = s1 / s0
-        score = (self.visit_score - mean @ self.a) / self.n
-        if not need_hessian:
-            return loglik, score, None
-        ze *= np.repeat(self.a / s0, self.rs.event_counts)
-        second = ze @ self.zt.T
-        outer = (mean * self.a) @ mean.T
-        hessian = (second - outer) / self.n
-        return loglik, score, hessian
+        score = (self.visit_score - mean @ self.a) / rs.n
+        return loglik, score, (second - (mean * self.a) @ mean.T) / rs.n
 
     def breslow(self, gamma: np.ndarray) -> np.ndarray:
         """Increments ``A_k / S0_k`` at ``gamma``, reusing the latest
         evaluation when it was at ``gamma`` (a Newton solve's last one)."""
         if self.last is None or not np.array_equal(self.last[0], gamma):
-            self.at(gamma, need_hessian=False)
+            self.at(gamma)
         _, s0, shift = self.last
         return self.a / (s0 * np.exp(shift))
 
@@ -176,8 +197,7 @@ def _fit(rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
     gamma = np.zeros(len(zspec))
 
     if len(zspec) == 0:
-        loglik = float(pl.at(gamma, False)[0])
-        return CoxFit(gamma, zspec.names, zspec, loglik, 0.0, 0,
+        return CoxFit(gamma, zspec.names, zspec, float(pl.at(gamma)[0]), 0.0, 0,
                       rs.event_times.copy(), pl.breslow(gamma))
 
     def check(gamma, score, hessian, k):

@@ -4,10 +4,10 @@ An at-risk row ``(start, end]`` covers every distinct visit time ``s`` with
 ``start < s <= end``.  The (row, event) incidence pairs are materialized
 once per dataset and stored event-major: sorted by event, and within an
 event in dataset row order.  The pairs of one event are then a contiguous
-segment, and every sum over risk sets is one ``numpy.add.reduceat`` over
-the segment starts, along the last axis of a per-pair array, so a block of
-several per-pair rows is summed in one pass.  The sums run in a fixed
-order, so results are reproducible run to run.
+segment; sums over risk sets are ``numpy.add.reduceat`` over the segment
+starts of per-pair rows, in ranges of bounded size (``blocks``) and in a
+fixed order, so results are reproducible.  The ``grid`` form, where every
+patient is at risk at each of fixed times, keeps its pairs implicit.
 
 For an empty segment ``reduceat`` returns the element at its start, not
 zero, so every event must have at least one pair.  Validated data
@@ -75,6 +75,21 @@ class RiskStructure:
         self.visit_event = np.searchsorted(self.event_times, dataset.end[self.visit_rows])
         self._index_events()
 
+    @classmethod
+    def grid(cls, times: np.ndarray, n: int, visit: np.ndarray):
+        """Grid form: ``n`` patients at risk at each of ``times``, with pair
+        ``k * n + i`` (patient ``i`` at time ``k``) flagged by ``visit[k * n + i]``
+        and no ``cover_row`` or ``cover_event``.  ``visit_rows`` are pair
+        numbers; a time without a visit stays, with a zero pooled sum."""
+        visit_rows = np.flatnonzero(visit)
+        if visit_rows.size == 0:
+            raise ValidationError("dataset has no visits")
+        out = object.__new__(cls)
+        out.n, out.event_times, out.K = int(n), times, len(times)
+        out.event_counts, out.event_starts = np.full(out.K, n), np.arange(out.K) * n
+        out.visit_rows, out.visit_event = visit_rows, visit_rows // n
+        return out
+
     def _index_events(self) -> None:
         """Set ``event_counts`` and ``event_starts`` from ``cover_event``."""
         self.event_counts = np.bincount(self.cover_event, minlength=self.K)
@@ -129,11 +144,23 @@ class RiskStructure:
         return (bound.evaluate(dataset, self.cover_row, self.cover_times()),
                 bound.evaluate(dataset, self.visit_rows))
 
-    def event_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum ``values`` within each event time along the last axis, which
-        holds one entry per incidence pair: shape ``(..., M)`` to
-        ``(..., K)``."""
-        return np.add.reduceat(values, self.event_starts, axis=-1)
+    def blocks(self, size: int) -> list:
+        """Ranges ``(lo, hi, k0, k1, offsets)`` of at most ``size`` pairs that
+        tile the pairs in order: ``lo:hi`` are whole events ``k0:k1``, or one
+        piece of an event of more than ``size`` pairs, and summing
+        ``values[..., lo:hi]`` by event is ``np.add.reduceat`` at ``offsets``."""
+        bounds = np.append(self.event_starts, self.event_counts.sum())
+        out, lo = [], 0
+        while lo < bounds[-1]:
+            k0 = int(np.searchsorted(bounds, lo, side="right")) - 1
+            if bounds[k0] < lo or bounds[k0 + 1] - lo > size:        # a piece
+                k1, hi = k0 + 1, min(lo + size, int(bounds[k0 + 1]))
+            else:
+                k1 = int(np.searchsorted(bounds, lo + size, side="right")) - 1
+                hi = int(bounds[k1])
+            out.append((lo, hi, k0, k1, np.maximum(bounds[k0:k1] - lo, 0)))
+            lo = hi
+        return out
 
     def pooled_visit_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum per-visit ``values`` within each event time (tie pooling)."""

@@ -27,17 +27,17 @@ covariates by noisy transforms.  When the outcome term is kept with
 transformed covariates, the plugged-in sensitivity value is the limiting
 coefficient from a very large one-off fit (:func:`limiting_phi`).
 
-That fit keeps its design in float32, 20 bytes per grid row (1 GB at the
-default 100 000 patients), and draws it in fixed blocks of patients, each
-from its own substream.  Since every row is at risk at exactly its own
-grid time, the risk-set sums of each grid time are reductions over
-patients in the ``(patients, N_GRID, p)`` layout the design already has.
-They are taken over small chunks of whole patients in float64, so the fit
-needs only a few MB beyond the design.
+That fit draws its float32 design (1 GB at the default 100 000 patients)
+in fixed blocks of patients, each from its own substream, and stores it
+grid-time-major: every row is at risk at exactly its own grid time, the
+grid form of :class:`~irrvis.riskset.RiskStructure`.  It runs on the
+partial likelihood of :func:`~irrvis.cox.fit_cox`, which sums in float64
+over blocks of pairs and so needs only a few MB beyond the design.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -47,12 +47,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._newton import maximize
-from .cox import fit_cox
+from .cox import _PartialLikelihood, fit_cox
 from .data import Dataset, _format_float, _write_csv
 from .design import ModelMatrixSpec
 from .errors import IrrvisError, NumericError, ValidationError
 from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
 from .gee import _fit as _fit_marginal
+from .riskset import RiskStructure
 from .rng import substream
 from .weights import SelectionSpec, balancing_weights, mle_weights, q_values
 
@@ -97,6 +98,9 @@ class ScenarioConfig:
             raise ValidationError("outcome must be continuous or count")
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"scenario must be one of {SCENARIOS}")
+        for key in ("gamma_z", "phi_true"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key} must be finite")
         if self.n < 2:
             raise ValidationError("n must be at least 2")
         if self.n_reps < 1:
@@ -143,7 +147,9 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int):
     log_pi = (-3.05 - 2.0 * t + cfg.gamma_z * z1 + cfg.gamma_z * z2
               + 0.5 * z1 * z2 + x + cfg.phi_true * s_y)
     pi = np.minimum(1.0, np.exp(log_pi))
+    del log_pi
     visit = rng.random((n, N_GRID)) < pi
+    del pi
     e = rng.normal(0.0, 0.1, (n, N_GRID))
     z1s = z1 - z2
     z2s = z2 + e
@@ -200,86 +206,25 @@ def _limiting_design(cfg: ScenarioConfig, n_large: int,
                      correct_covariates: bool):
     """Covariate matrix (float32) and visit flags for the limiting fit.
 
-    Columns: the scenario's weight covariates (transformed by default)
-    followed by S(Y) at every grid row.  Patients are drawn in blocks of
-    :data:`_DRAW_BLOCK`, block ``c`` from its own substream, so the draws
-    are fixed by ``cfg`` and ``n_large``.  The float32 design takes
-    ``20 * N_GRID`` bytes per patient; the float64 draws of one block are
-    the only other large allocation.
+    Rows: the scenario's weight covariates (transformed by default) and
+    S(Y).  Column ``k * n_large + i`` is patient ``i`` at grid time ``k``,
+    the pair order of :meth:`RiskStructure.grid`.  Patients are drawn in
+    blocks of :data:`_DRAW_BLOCK`, block ``c`` from its own substream, so
+    the draws are fixed by ``cfg`` and ``n_large``; one block's float64
+    draws are held at a time besides the design (20 bytes per grid row).
     """
-    p = 5
-    design = np.empty((n_large * N_GRID, p), dtype=np.float32)
-    visit = np.empty(n_large * N_GRID, dtype=bool)
+    design = np.empty((5, N_GRID, n_large), dtype=np.float32)
+    visit = np.empty((N_GRID, n_large), dtype=bool)
+
+    def write(lo, x, z1, z2, y, s_y, v, z1s, z2s):
+        a, b = (z1, z2) if correct_covariates else (z1s, z2s)
+        for out, values in zip((*design, visit), (a, b, a * b, x, s_y, v)):
+            out[:, lo:lo + len(x)] = values.T
+
     for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
-        m = min(_DRAW_BLOCK, n_large - lo)
         rng = substream(cfg.seed, _LIMITING_STREAM_BASE + c)
-        x, z1, z2, y, s_y, v, z1s, z2s = _draw_panel(cfg, rng, m)
-        if correct_covariates:
-            a, b = z1, z2
-        else:
-            a, b = z1s, z2s
-        sl = slice(lo * N_GRID, (lo + m) * N_GRID)
-        block = design[sl]
-        block[:, 0] = a.ravel()
-        block[:, 1] = b.ravel()
-        block[:, 2] = (a * b).ravel()
-        block[:, 3] = np.repeat(x[:, 0], N_GRID)
-        block[:, 4] = s_y.ravel()
-        visit[sl] = v.ravel()
-    return design, visit
-
-
-def _fit_grid_cox(design: np.ndarray, visit: np.ndarray,
-                  patient_chunk: int = 100) -> np.ndarray:
-    """Unweighted proportional-intensity fit on grid data.
-
-    Specialized to the simulated layout: rows are patient-major, every row
-    is at risk and covers exactly its own grid time, so the risk set of
-    grid time ``g`` is column ``g`` of the ``(n, N_GRID)`` panel.  Each
-    evaluation reduces over patients in chunks of ``patient_chunk``: the
-    chunk is cast to float64 once and reshaped to ``(m, N_GRID, p)``, and
-    the per-grid-time sums S0, S1 and S2 come from axis-0 sums and one
-    batched contraction.  Grid times without a visit are dropped after
-    the sums.  The design may stay in float32 and all accumulation is
-    float64.  Besides the design, the working memory is a few float64
-    copies of one chunk: 2 MB each at the default 100 patients and p = 5.
-    Chunks that fit in a core's L2 cache ran fastest: 1000 patients took
-    about twice as long on a 2-vCPU Xeon with 4 MB of L2.
-    """
-    rows, p = design.shape
-    n = rows // N_GRID
-    grid_counts = visit.reshape(n, N_GRID).sum(axis=0)
-    event = grid_counts > 0
-    a = grid_counts[event].astype(np.float64)                # visits per event
-    visit_cols = design[visit].sum(axis=0, dtype=np.float64)
-
-    def evaluate(g):
-        s0 = np.zeros(N_GRID)
-        s1 = np.zeros((N_GRID, p))
-        s2 = np.zeros((N_GRID, p, p))
-        for lo in range(0, n, patient_chunk):
-            hi = min(lo + patient_chunk, n)
-            z = design[lo * N_GRID:hi * N_GRID].astype(np.float64)
-            z = z.reshape(hi - lo, N_GRID, p)
-            e = np.exp(z @ g)
-            ze = z * e[..., None]
-            s0 += e.sum(axis=0)
-            s1 += ze.sum(axis=0)
-            s2 += np.matmul(ze.transpose(1, 2, 0), z.transpose(1, 0, 2))
-        s0, s1, s2 = s0[event], s1[event], s2[event]
-        if np.any(s0 <= 0) or not np.all(np.isfinite(s0)):
-            raise NumericError("limiting fit: risk-set sum not positive")
-        loglik = (visit_cols @ g - a @ np.log(s0)) / n
-        mean = s1 / s0[:, None]
-        score = (visit_cols - a @ mean) / n
-        hessian = (np.einsum("k,kjl->jl", a / s0, s2)
-                   - (mean * a[:, None]).T @ mean) / n
-        return loglik, score, hessian
-
-    gamma, _, _, _ = maximize(
-        evaluate, np.zeros(p), "limiting fit",
-        "limiting fit: information matrix is not positive definite")
-    return gamma
+        write(lo, *_draw_panel(cfg, rng, min(_DRAW_BLOCK, n_large - lo)))
+    return design.reshape(5, -1), visit.ravel()
 
 
 def limiting_phi(cfg: ScenarioConfig, n_large: int = 100_000,
@@ -293,7 +238,12 @@ def limiting_phi(cfg: ScenarioConfig, n_large: int = 100_000,
     by ``cfg.seed`` on a reserved index range.
     """
     design, visit = _limiting_design(cfg, n_large, correct_covariates)
-    gamma = _fit_grid_cox(design, visit)
+    rs = RiskStructure.grid(GRID_TIMES, n_large, visit)
+    z_visit = design[:, rs.visit_rows].T.astype(np.float64)
+    pl = _PartialLikelihood(rs, design.T, z_visit, np.ones(rs.visit_rows.size))
+    gamma, _, _, _ = maximize(
+        pl.at, np.zeros(design.shape[0]), "limiting fit",
+        "limiting fit: information matrix is not positive definite")
     return float(gamma[-1])
 
 

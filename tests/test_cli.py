@@ -302,6 +302,10 @@ MISTYPED = [
     ("simulate", SIMULATE, "gamma_z", "strong", "key 'gamma_z' in section"),
     ("simulate", SIMULATE, "phi_true", [0.5], "key 'phi_true' in section"),
     ("simulate", SIMULATE, "n_reps", "many", "key 'n_reps' in section"),
+    ("simulate", SIMULATE, "gamma_z", float("nan"), "gamma_z must be finite"),
+    ("simulate", SIMULATE, "phi_true", float("inf"), "phi_true must be finite"),
+    ("analyze", ANALYZE, "weight_kind", {"a": 1}, "unknown weight kind {'a': 1}"),
+    ("analyze", ANALYZE, "weight_kind", "mlee", "unknown weight kind 'mlee'"),
     ("analyze", ANALYZE, "theta", "wide", "key 'theta' in section 'analyze'"),
     ("analyze", ANALYZE, "phi_grid", [0.0, "half"], "key 'phi_grid' in section"),
     ("analyze", ANALYZE, "phi_grid", [False, 1.0], "key 'phi_grid' in section"),

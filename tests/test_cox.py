@@ -11,6 +11,7 @@ from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec, QValues,
                     RankDeficiencyError,
                     ScenarioConfig, SeparationError, ValidationError,
                     breslow_increments, fit_cox, generate)
+from irrvis import cox
 from irrvis.cox import _PartialLikelihood
 from irrvis.design import BoundDesign
 from irrvis.riskset import RiskStructure
@@ -119,17 +120,6 @@ def assert_kernel_matches_oracle(pl, ds, gamma, q):
                        oracles.breslow(ds, KERNEL_TERMS, gamma, q)[1], rtol=1e-12)
 
 
-def test_block_event_sums_match_loops():
-    # the kernel sums exp(eta) and z * exp(eta) in one (p + 1, M) block
-    ds = kernel_panel(3)
-    rs = RiskStructure(ds)
-    block = np.random.default_rng(0).normal(size=(3, rs.cover_row.size))
-    expect = np.zeros((3, rs.K))
-    for i, k in enumerate(rs.cover_event):
-        expect[:, k] += block[:, i]
-    assert np.allclose(rs.event_sum(block), expect, rtol=1e-13, atol=1e-13)
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000),
        draw=st.lists(st.integers(0, 20), min_size=2, max_size=8))
@@ -141,8 +131,13 @@ def test_kernel_matches_oracle_on_panels_and_resamples(seed, draw):
     rs = RiskStructure(ds)
     z_cover, z_visit = rs.design(BoundDesign(ds, spec), ds)
     q = rng.uniform(0.5, 2.0, rs.visit_rows.size)
-    assert_kernel_matches_oracle(_PartialLikelihood(rs, z_cover, z_visit, q),
-                                 ds, gamma, q)
+    # events hold up to 7 pairs: one range for all of them, about one event
+    # per range, and every larger event in pieces of 3 pairs or of 1
+    for block in (1 << 15, 7, 3, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cox, "_BLOCK_PAIRS", block)
+            pl = _PartialLikelihood(rs, z_cover, z_visit, q)
+        assert_kernel_matches_oracle(pl, ds, gamma, q)
 
     # a draw of patients with repeats, through RiskStructure.subset and the
     # full design's rows, against the oracle on the drawn dataset
@@ -223,7 +218,7 @@ def test_collinear_covariates_rejected():
 
 def test_overflowing_trial_step_is_rejected_quietly():
     # On this replicate the first Newton step overshoots to a point where one
-    # event's risk-set sum is subnormal under the global shift, so A_k / S0_k
+    # event's risk-set sum is subnormal under its range's shift, so A_k / S0_k
     # overflows; the line search must reject that trial without a warning.
     # Q follows the capped visit law (see acceptance criterion 5).
     cfg = ScenarioConfig(outcome="continuous", gamma_z=1.25, phi_true=0.3,

@@ -101,11 +101,44 @@ def test_ties_pool_on_one_event_axis():
 def test_event_sums_match_loops():
     ds = random_panel(42, n_patients=6, n_periods=4)
     rs = RiskStructure(ds)
-    vals = np.arange(1.0, rs.cover_row.size + 1.0)
-    expect = np.zeros(rs.K)
-    for v, k in zip(vals, rs.cover_event):
-        expect[k] += v
-    assert np.allclose(rs.event_sum(vals), expect)
+    vals = np.random.default_rng(0).normal(size=(3, rs.cover_row.size))
+    expect = np.zeros((3, rs.K))
+    for i, k in enumerate(rs.cover_event):
+        expect[:, k] += vals[:, i]
+    assert rs.event_counts.max() > 5
+    for size in (1, 2, 5, 1 << 15):
+        got = np.zeros((3, rs.K))
+        lo_next = 0
+        for lo, hi, k0, k1, offsets in rs.blocks(size):
+            # the ranges tile the pairs, each at most size long, and each
+            # holds whole events or one piece of an event
+            assert lo == lo_next and 0 < hi - lo <= size
+            assert np.array_equal(np.unique(rs.cover_event[lo:hi]), np.arange(k0, k1))
+            assert np.array_equal(rs.cover_event[lo:hi][offsets], np.arange(k0, k1))
+            whole = (rs.event_starts[k0] == lo
+                     and rs.event_starts[k1 - 1] + rs.event_counts[k1 - 1] == hi)
+            assert whole or k1 == k0 + 1
+            got[:, k0:k1] += np.add.reduceat(vals[:, lo:hi], offsets, axis=-1)
+            lo_next = hi
+        assert lo_next == rs.cover_row.size
+        assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
+
+
+def test_grid_form_numbers_pairs_time_major():
+    # 4 patients at 3 times; pair k * 4 + i is patient i at time k
+    visit = np.zeros(12, dtype=bool)
+    visit[[1, 6, 7]] = True
+    rs = RiskStructure.grid(np.array([1.0, 2.0, 3.0]), 4, visit)
+    assert (rs.n, rs.K) == (4, 3)
+    assert np.array_equal(rs.event_starts, [0, 4, 8])
+    assert np.array_equal(rs.event_counts, [4, 4, 4])
+    assert np.array_equal(rs.visit_event, [0, 1, 1])
+    # the time without a visit stays, with a zero pooled sum
+    assert np.array_equal(rs.pooled_visit_sum(np.ones(3)), [1.0, 2.0, 0.0])
+    assert [(lo, hi, k0, k1) for lo, hi, k0, k1, _ in rs.blocks(8)] == [
+        (0, 8, 0, 2), (8, 12, 2, 3)]
+    with pytest.raises(ValidationError, match="no visits"):
+        RiskStructure.grid(np.array([1.0, 2.0, 3.0]), 4, np.zeros(12, dtype=bool))
 
 
 def test_cover_times_expand_event_axis():

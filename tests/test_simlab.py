@@ -37,6 +37,10 @@ def test_config_validation():
         cont_cfg(n_reps=0)
     with pytest.raises(ValidationError, match="seed"):
         cont_cfg(seed=-1)
+    for key in ("gamma_z", "phi_true"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match=f"{key} must be finite"):
+                cont_cfg(**{key: value})
 
 
 def test_config_derived_specs():
@@ -163,41 +167,30 @@ def test_first_interval_visit_rate_matches_formula():
 
 
 def test_limiting_fit_matches_general_engine():
-    from irrvis import Dataset, ModelMatrixSpec, fit_cox
-    from irrvis.simlab import _fit_grid_cox, _limiting_design
+    from irrvis import Dataset, ModelMatrixSpec, cox, fit_cox
+    from irrvis.simlab import _limiting_design
 
     cfg = cont_cfg(phi_true=0.3, scenario="s3_SF_correctZ", seed=1, n=400)
-    # n = 20 leaves most grid times without a visit; neither chunk divides
-    # n, so a partial last chunk runs
-    for n, chunk, min_empty in ((400, 64, 0), (20, 7, 250)):
+    # n = 20 leaves most grid times without a visit.  The block sizes put
+    # many events in a range, one event in a range (400), and split an
+    # event into pieces (97 and 7 at n = 400, 7 at n = 20)
+    for n, min_empty in ((400, 0), (20, 250)):
         design, visit = _limiting_design(cfg, n, correct_covariates=True)
-        empty = int(np.sum(visit.reshape(n, 500).sum(axis=0) == 0))
-        assert empty >= min_empty
-        gamma = _fit_grid_cox(design, visit, patient_chunk=chunk)
-        rows = design.shape[0]
+        assert int(np.sum(visit.reshape(500, n).sum(axis=1) == 0)) >= min_empty
+        # the same draws patient-major, as a general dataset
+        cov = design.reshape(5, 500, n).transpose(2, 1, 0).reshape(-1, 5)
+        flags = visit.reshape(500, n).T.ravel()
         ds = Dataset(list(range(n)), np.repeat(np.arange(n, dtype=np.int32), 500),
                      np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
-                     np.tile(GRID_TIMES, n), np.ones(rows, dtype=bool), visit,
-                     np.where(visit, 0.0, np.nan), design.astype(np.float64),
+                     np.tile(GRID_TIMES, n), np.ones(flags.size, dtype=bool), flags,
+                     np.where(flags, 0.0, np.nan), cov.astype(np.float64),
                      ("a", "b", "ab", "x", "sy"), tau=TAU, validate=False)
         ref = fit_cox(ds, ModelMatrixSpec(["a", "b", "ab", "x", "sy"]))
-        assert np.allclose(gamma, ref.gamma, rtol=0.0, atol=1e-10)
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), n=st.integers(8, 40))
-def test_limiting_fit_is_independent_of_patient_chunk(seed, n):
-    from irrvis.simlab import _fit_grid_cox, _limiting_design
-
-    cfg = cont_cfg(gamma_z=1.25, phi_true=0.3, scenario="s4_SF_transformedZ",
-                   seed=seed)
-    design, visit = _limiting_design(cfg, n, correct_covariates=False)
-    whole = _fit_grid_cox(design, visit, patient_chunk=n)
-    for chunk in (1, 7, 64):
-        gamma = _fit_grid_cox(design, visit, patient_chunk=chunk)
-        assert np.max(np.abs(gamma - whole)) <= 1e-12 * np.max(np.abs(whole))
-        again = _fit_grid_cox(design, visit, patient_chunk=chunk)
-        assert np.array_equal(gamma, again)
+        for block in (1 << 15, 3500, 1501, 400, 97, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cox, "_BLOCK_PAIRS", block)
+                phi = limiting_phi(cfg, n, correct_covariates=True)
+            assert np.isclose(phi, ref.gamma[-1], rtol=0.0, atol=1e-10)
 
 
 def test_limiting_phi_deterministic_and_near_truth():
