@@ -120,6 +120,34 @@ def assert_kernel_matches_oracle(pl, ds, gamma, q):
                        oracles.breslow(ds, KERNEL_TERMS, gamma, q)[1], rtol=1e-12)
 
 
+def test_block_event_sums_match_loops(monkeypatch):
+    # the kernel sums exp(eta) and z * exp(eta) per event over the ranges of
+    # RiskStructure.blocks in one (p + 1, block) workspace; the sums over
+    # its ranges match loops, and its evaluation does not depend on the
+    # block size, whether a range holds whole events or a piece of one
+    ds = kernel_panel(3)
+    rs = RiskStructure(ds)
+    z_cover, z_visit = rs.design(BoundDesign(ds, ModelMatrixSpec(KERNEL_TERMS)), ds)
+    q = np.random.default_rng(1).uniform(0.5, 2.0, rs.visit_rows.size)
+    gamma = np.array([0.3, -0.5, 0.2])
+    block = np.random.default_rng(0).normal(size=(3, rs.cover_row.size))
+    expect = np.zeros((3, rs.K))
+    for i, k in enumerate(rs.cover_event):
+        expect[:, k] += block[:, i]
+    assert rs.event_counts.max() > 3
+    whole = _PartialLikelihood(rs, z_cover, z_visit, q).at(gamma)
+    for size in (1 << 15, 3, 1):
+        monkeypatch.setattr(cox, "_BLOCK_PAIRS", size)
+        pl = _PartialLikelihood(rs, z_cover, z_visit, q)
+        got = np.zeros((3, rs.K))
+        for lo, hi, k0, k1, offsets in pl.ranges:
+            assert hi - lo <= size
+            got[:, k0:k1] += np.add.reduceat(block[:, lo:hi], offsets, axis=-1)
+        assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
+        for a, b in zip(pl.at(gamma), whole):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000),
        draw=st.lists(st.integers(0, 20), min_size=2, max_size=8))

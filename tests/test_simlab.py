@@ -193,6 +193,27 @@ def test_limiting_fit_matches_general_engine():
             assert np.isclose(phi, ref.gamma[-1], rtol=0.0, atol=1e-10)
 
 
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(8, 40))
+def test_limiting_fit_is_independent_of_patient_chunk(seed, n):
+    # the limiting fit sums over blocks of incidence pairs rather than
+    # chunks of patients: the fit is the same at every block size (pieces
+    # of one grid time, about one grid time, many grid times) and repeats
+    # exactly at one
+    from irrvis import cox
+
+    cfg = cont_cfg(gamma_z=1.25, phi_true=0.3, scenario="s4_SF_transformedZ",
+                   seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cox, "_BLOCK_PAIRS", 500 * n)
+        whole = limiting_phi(cfg, n)
+        for block in (7, n - 1, 64 * n + 3):
+            mp.setattr(cox, "_BLOCK_PAIRS", block)
+            phi = limiting_phi(cfg, n)
+            assert abs(phi - whole) <= 1e-12 * max(abs(whole), 1.0)
+            assert limiting_phi(cfg, n) == phi
+
+
 def test_limiting_phi_deterministic_and_near_truth():
     # the probability cap binds at moderate covariates, attenuating the
     # fitted outcome coefficient a little below the generating value
