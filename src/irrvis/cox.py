@@ -188,13 +188,15 @@ def fit_cox(dataset: Dataset, zspec: ModelMatrixSpec,
 
 
 def _fit(rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
-         zspec: ModelMatrixSpec, q: np.ndarray) -> CoxFit:
+         zspec: ModelMatrixSpec, q: np.ndarray,
+         start: Optional[np.ndarray] = None) -> CoxFit:
     """:func:`fit_cox` on a risk structure and the design on its pairs and
-    visit rows."""
+    visit rows, with the Newton search started at ``start`` (zero if
+    None).  The information check runs at the start either way."""
     if zspec.has_const():
         raise ValidationError("intensity model must not contain a constant term")
     pl = _PartialLikelihood(rs, z_cover, z_visit, q)
-    gamma = np.zeros(len(zspec))
+    gamma = np.zeros(len(zspec)) if start is None else np.array(start, dtype=np.float64)
 
     if len(zspec) == 0:
         return CoxFit(gamma, zspec.names, zspec, float(pl.at(gamma)[0]), 0.0, 0,

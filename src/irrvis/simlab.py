@@ -42,6 +42,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -270,6 +271,8 @@ def _cell_fit(blocks, model: MarginalModelSpec) -> GeeFit:
             if block.size:
                 sums[a] += block.sum(axis=0)
         n_arm += np.bincount(arm, minlength=2)
+        # free this block's draws before the next block is drawn
+        del x, y, arm, block
     present = n_arm > 0
     arms = np.flatnonzero(present).astype(np.float64)
     design = np.column_stack((np.ones(arms.size * N_GRID),
@@ -294,11 +297,11 @@ def complete_data_fit(cfg: ScenarioConfig,
     vector.
     """
     def blocks():
+        # binds no draws, so block c's are freed while block c + 1 is drawn
         for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
-            m = min(_DRAW_BLOCK, n_large - lo)
-            rng = substream(cfg.seed, _TRUTH_STREAM_BASE + c)
-            x, _, _, y, *_ = _draw_panel(cfg, rng, m)
-            yield x, y
+            yield itemgetter(0, 3)(_draw_panel(  # x, y
+                cfg, substream(cfg.seed, _TRUTH_STREAM_BASE + c),
+                min(_DRAW_BLOCK, n_large - lo)))
 
     return _cell_fit(blocks(), cfg.marginal_model()).beta
 

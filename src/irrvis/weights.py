@@ -220,8 +220,11 @@ def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec
     return _balance(system, spec.hspec, q.phi)
 
 
-def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float) -> WeightSet:
-    """:func:`balancing_weights` on a built balance system."""
+def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float,
+             start: Optional[np.ndarray] = None) -> WeightSet:
+    """:func:`balancing_weights` on a built balance system, with the
+    Newton search started at ``start`` if it has one entry per kept term
+    and at zero otherwise."""
     # a non-constant term that never varies at visit rows duplicates the
     # intercept direction and makes the Jacobian singular; drop it
     names = list(hspec.names)
@@ -235,15 +238,16 @@ def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float) -> Weig
         system.h_visit = system.h_visit[:, keep]
         system.target = system.target[keep]
         names = [n for n, k in zip(names, keep) if k]
-    start = np.zeros(len(names))
+    zero = np.zeros(len(names))
+    start = zero if start is None or len(start) != len(names) else np.array(start)
     try:
         gamma, _, _, _ = maximize(
             system.evaluate, start, "balance solve",
             "balance solve: singular Jacobian (collinear balance terms)")
     except RankDeficiencyError:
-        # a Jacobian that is positive definite at the start and singular
-        # later means the iterates ran off: the dual is unbounded below
-        if not is_positive_definite(system.evaluate(start)[2]):
+        # a Jacobian that is positive definite at zero and singular later
+        # means the iterates ran off: the dual is unbounded below
+        if not is_positive_definite(system.evaluate(zero)[2]):
             raise
         raise BalanceInfeasibleError(
             "balance solve: the dual diverged; the balance conditions appear "

@@ -468,6 +468,66 @@ def test_prepared_resamples_match_take_patients(name):
     assert sum(ok) > len(ok) // 2
 
 
+def warm_start(prepared, phi):
+    """The start every resample's solves get at ``phi``: the solution of
+    the resample of every patient."""
+    whole = prepared.analyze(np.arange(prepared.dataset.n_patients), phi)
+    return whole.visit_model.gamma, whole[1].gamma
+
+
+def outcome(prepared, patients, phi, start=None):
+    """``beta`` of the resample, or the type, stage and message it fails with."""
+    try:
+        return prepared.analyze(patients, phi, start)[0].beta
+    except IrrvisError as exc:
+        return type(exc), getattr(exc, "stage", None), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+def test_warm_resamples_match_cold_ones(name):
+    ds = parity_dataset()
+    cfg = PARITY_CONFIGS[name]
+    prepared = _Prepared(ds, cfg)
+    n = ds.n_patients
+    draws = [np.delete(np.arange(n), k) for k in range(n)]
+    draws += [substream(5, r).integers(0, n, size=n) for r in range(6)]
+    fitted = moved = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for phi in (0.0, 0.4):
+            start = None if cfg.weight_kind == "none" else warm_start(prepared, phi)
+            for d in draws:
+                cold = outcome(prepared, d, phi)
+                warm = outcome(prepared, d, phi, start)
+                if isinstance(cold, tuple):
+                    assert warm == cold
+                    continue
+                assert not isinstance(warm, tuple), warm
+                fitted += 1
+                moved += not np.array_equal(warm, cold)
+                tol = 1e-7 * np.maximum(1.0, np.abs(cold))
+                assert np.all(np.abs(warm - cold) <= tol)
+    assert fitted > len(draws)
+    # the start reaches the solves: a weighted resample stops elsewhere
+    assert (moved > 0) == (cfg.weight_kind != "none")
+
+
+@pytest.mark.parametrize("resampling", [Resampling("jackknife"),
+                                        Resampling("bootstrap", b=6, seed=5)])
+def test_sweep_se_equals_standalone_resampling(resampling):
+    ds = parity_dataset()
+    cfg = dataclasses.replace(PARITY_CONFIGS["balancing"], phi_grid=(0.0, 0.4),
+                              resampling=resampling)
+    result = sweep(ds, cfg)
+    for phi in cfg.phi_grid:
+        if resampling.kind == "jackknife":
+            se = jackknife(ds, cfg, phi).se
+        else:
+            se = bootstrap(ds, cfg, phi, resampling.b, resampling.seed).se
+        got = [r["se"] for r in result.rows if r["phi"] == phi]
+        assert np.array_equal(got, se)
+
+
 def test_resample_without_at_risk_rows_fails_as_take_patients():
     # a patient censored from the start has no at-risk rows, so no pairs;
     # a draw of that patient alone fails in binding, as in fit_cox
@@ -486,34 +546,45 @@ def test_jackknife_and_bootstrap_match_take_patients_loops():
     for pid, z in enumerate([-1.0, 0.4, 1.2, -0.3, 0.8]):
         visits = {1 + pid % 3: z, 4: 0.5 * z} if pid != 2 else {2: 1.0, 3: 0.0}
         rows += grid_rows(f"p{pid}", {"z1": z, "flag": float(pid == 2)}, visits)
+    # resamples are warm-started, so the cold take_patients loop gives the
+    # same failures and the same SEs to solver tolerance; the warm
+    # prepared resamples give them bit for bit
     ds = Dataset.from_rows(rows, tau=4.0)
     cfg = mle_config(zspec=ModelMatrixSpec(["z1", "flag"]))
+    prepared = _Prepared(ds, cfg)
+    start = warm_start(prepared, 0.2)
+
+    def loops(draws):
+        cold, warm, failed = [], [], 0
+        for d in draws:
+            try:
+                fit, _ = analyze_once(ds.take_patients(d), cfg, 0.2)
+            except NumericError:
+                failed += 1
+                with pytest.raises(NumericError):
+                    prepared.analyze(d, 0.2, start)
+                continue
+            cold.append(fit.beta)
+            warm.append(prepared.analyze(d, 0.2, start)[0].beta)
+        return np.asarray(cold), np.asarray(warm), failed
+
+    def jackknife_se(est):
+        dev = est - est.mean(axis=0)
+        return np.sqrt((len(est) - 1) / len(est) * (dev * dev).sum(axis=0))
+
     res = jackknife(ds, cfg, 0.2)
-    betas, failed = [], 0
-    for k in range(ds.n_patients):
-        try:
-            fit, _ = analyze_once(ds.take_patients(np.delete(np.arange(5), k)),
-                                  cfg, 0.2)
-        except NumericError:
-            failed += 1
-            continue
-        betas.append(fit.beta)
+    cold, warm, failed = loops(np.delete(np.arange(5), k) for k in range(5))
     assert failed == res.n_failed == 1
-    est = np.asarray(betas)
-    dev = est - est.mean(axis=0)
-    assert np.array_equal(res.se, np.sqrt(3 / 4 * (dev * dev).sum(axis=0)))
+    assert np.allclose(res.se, jackknife_se(cold), rtol=1e-6, atol=0.0)
+    assert np.array_equal(res.se, jackknife_se(warm))
 
     with pytest.warns(UserWarning, match="replicates failed"):
         boot = bootstrap(ds, cfg, 0.2, b=12, seed=3)
-    betas, failed = [], 0
-    for r in range(12):
-        idx = substream(3, r).integers(0, 5, size=5)
-        try:
-            betas.append(analyze_once(ds.take_patients(idx), cfg, 0.2)[0].beta)
-        except NumericError:
-            failed += 1
+    cold, warm, failed = loops(substream(3, r).integers(0, 5, size=5)
+                               for r in range(12))
     assert boot.n_failed == failed
-    assert np.array_equal(boot.se, np.asarray(betas).std(axis=0, ddof=1))
+    assert np.allclose(boot.se, cold.std(axis=0, ddof=1), rtol=1e-6, atol=0.0)
+    assert np.array_equal(boot.se, warm.std(axis=0, ddof=1))
 
 
 # -- invariances -------------------------------------------------------------

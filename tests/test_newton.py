@@ -55,3 +55,15 @@ def test_unbounded_merit_runs_out_of_iterations():
     with pytest.raises(ConvergenceError,
                        match=f"toy solve: no convergence in {MAX_ITER} iterations"):
         maximize(evaluate, np.zeros(1), "toy solve", "singular")
+
+
+def test_start_at_the_root_returns_it_after_checking_it():
+    calls = []
+    root = CENTER.copy()
+    x, f, g, n_iter = maximize(quadratic, root, "quadratic", "singular",
+                               lambda *args: calls.append(args))
+    assert n_iter == 0
+    assert np.array_equal(x, CENTER)
+    assert f == 0.0 and not g.any()
+    assert len(calls) == 1 and calls[0][3] == 0
+    assert np.array_equal(calls[0][0], CENTER)

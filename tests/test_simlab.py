@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,24 @@ def test_complete_data_fit_deterministic_and_near_truth():
     assert beta[0] == pytest.approx(5.0, abs=0.05)
     assert beta[1] == pytest.approx(-4.5, abs=0.05)
     assert beta[2] == pytest.approx(-0.5, abs=0.01)
+
+
+def test_complete_data_fit_holds_one_block_of_draws():
+    # two blocks of draws at 8 000 patients, one at 4 000; the first is
+    # freed before the second is drawn, so the peaks match.  The betas
+    # are those of the fit that held both blocks at once.
+    cfg = cont_cfg(seed=0)
+    peaks, betas = [], []
+    for n_large in (4000, 8000):
+        tracemalloc.start()
+        try:
+            betas.append(complete_data_fit(cfg, n_large=n_large))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.15 * peaks[0]
+    assert [b.hex() for b in betas[1]] == [
+        "0x1.3fcd8bcd12163p+2", "-0x1.1ffed6138b532p+2", "-0x1.ff211cd09b03ep-2"]
 
 
 @pytest.mark.filterwarnings("error")
