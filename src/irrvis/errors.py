@@ -5,6 +5,8 @@ problems (failed solves) are kept on separate branches so callers, in
 particular the command line interface, can map them to distinct exit codes.
 """
 
+import numbers
+
 
 class IrrvisError(Exception):
     """Base class for all errors raised by this package."""
@@ -54,3 +56,11 @@ def _stage(name, phi, fn):
         raise
     except IrrvisError as exc:
         raise PipelineError(name, phi, exc) from exc
+
+
+def _require_integers(owner, **values):
+    """Raise ValidationError unless every value is an integer; a bool, a
+    float of integral value and a str are not, a numpy integer is."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{owner} {name} must be an integer, got {value!r}")

@@ -99,20 +99,27 @@ def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec,
     return _fit(x, dataset.outcome[visit_rows], weights, model, dataset.n_patients)
 
 
+def _visit_weights(weights, n_visits: int) -> np.ndarray:
+    """``weights`` (a :class:`~irrvis.weights.WeightSet`, an array or None
+    for ones) as one finite, non-negative weight per visit row, not all
+    zero."""
+    if weights is None:
+        return np.ones(n_visits)
+    w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
+    if w.shape != (n_visits,):
+        raise ValidationError("weights must have one entry per visit row")
+    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        raise ValidationError("weights must be non-negative and finite")
+    if not np.any(w > 0.0):
+        raise ValidationError("all weights are zero")
+    return w
+
+
 def _fit(x: np.ndarray, y: np.ndarray, weights, model: MarginalModelSpec,
          n: int) -> GeeFit:
     """:func:`fit_weighted_gee` on the design and outcomes of the visit rows
     of ``n`` patients."""
-    if weights is None:
-        w = np.ones(y.size)
-    else:
-        w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
-        if w.shape != y.shape:
-            raise ValidationError("weights must have one entry per visit row")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be non-negative and finite")
-        if not np.any(w > 0.0):
-            raise ValidationError("all weights are zero")
+    w = _visit_weights(weights, y.size)
     names = tuple(model.xspec.names)
 
     if model.link == "identity" and model.variance == "constant":
@@ -161,17 +168,15 @@ def estimate_dispersion(fit: GeeFit, dataset: Dataset, weights=None) -> float:
     """Moment estimate of the negative-binomial dispersion.
 
     Solves ``sum w [(y - mu)^2 - mu] = theta * sum w mu^2`` at the fitted
-    means and floors the result at zero.
+    means and floors the result at zero.  ``weights`` are checked as
+    :func:`fit_weighted_gee` checks them.
     """
     visit_rows = dataset.visit_row_indices()
     y = dataset.outcome[visit_rows]
     mu = fit.fitted_means
     if mu.shape != y.shape:
         raise ValidationError("fit does not match the dataset's visit rows")
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
+    w = _visit_weights(weights, y.size)
     num = float(w @ ((y - mu) ** 2 - mu))
     den = float(w @ (mu * mu))
     if den <= 0.0:

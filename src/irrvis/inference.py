@@ -23,6 +23,14 @@ O(1/n) from the resample's; the Newton search then stops at a different
 iterate within the solvers' tolerance, and a resample's estimate moves
 by less than 1e-7 relative.  Point fits are unchanged.
 
+Only the selection factors depend on phi, and the deletions or draws are
+the same at every phi.  So the sweep fits every point first and then
+makes one resample-major pass: each resample is gathered once (its
+structure, kept pairs and designs), fitted at every phi whose point fit
+succeeded, and dropped before the next is gathered.  :func:`jackknife`
+and :func:`bootstrap` are that pass over a one-phi grid, and each phi's
+standard errors in a sweep equal theirs bit for bit.
+
 Besides its table, a :class:`SweepResult` keeps, for each phi, the visit
 model fit and the weights of the point fit, or the PipelineError that
 stopped it; the command line writes its per-phi files from these.
@@ -33,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,7 +50,8 @@ from . import cox, gee, weights
 from .cox import fit_cox
 from .data import Dataset, _format_float, _take_rows, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
-from .errors import IrrvisError, NumericError, ValidationError, _stage
+from .errors import (IrrvisError, NumericError, ValidationError,
+                     _require_integers, _stage)
 from .gee import MarginalModelSpec, fit_weighted_gee
 from .riskset import RiskStructure
 from .rng import substream
@@ -67,6 +77,7 @@ class Resampling:
     def __post_init__(self):
         if self.kind not in ("none", "jackknife", "bootstrap"):
             raise ValidationError(f"unknown resampling kind {self.kind!r}")
+        _require_integers("resampling", b=self.b, seed=self.seed)
         if self.kind == "bootstrap":
             if self.b < 2:
                 raise ValidationError("bootstrap needs at least 2 draws")
@@ -227,25 +238,33 @@ class _Prepared:
     def analyze(self, patients: np.ndarray, phi: float, start=None):
         """:func:`analyze_once` on ``dataset.take_patients(patients)``, its
         visit model and balance solves started as in
-        :class:`_ResampleStages`."""
-        return _run_stages(_ResampleStages(self, patients, start), self.config, phi)
+        :meth:`_ResampleStages.analyze`."""
+        return _ResampleStages(self, patients).analyze(phi, start)
 
 
 class _ResampleStages:
     """Pipeline stages on one resample, through the fitting cores.
 
-    ``start`` is None, for solves from zero, or the ``(visit model gamma,
-    balance gamma)`` pair to start those two Newton solves at; the
-    marginal fit keeps its own start.
+    Only the selection factors depend on phi.  The resample's structure,
+    its kept pairs and its designs are gathered (or bound and evaluated)
+    on first use and kept, so fitting it at several phi gathers them once;
+    a gather that fails is not kept and fails the same way again.
     """
 
-    def __init__(self, prepared: _Prepared, patients: np.ndarray, start=None):
+    def __init__(self, prepared: _Prepared, patients: np.ndarray):
         self.prepared = prepared
-        self.start = (None, None) if start is None else start
+        self.start = (None, None)
         self.patients = np.asarray(patients, dtype=np.int64)
         self.n = self.patients.size
         self.visits = _blocks(prepared.visit_bounds, self.patients)
         self.y = prepared.y[self.visits]
+
+    def analyze(self, phi: float, start=None):
+        """The pipeline at ``phi``.  ``start`` is None, for solves from zero,
+        or the ``(visit model gamma, balance gamma)`` pair to start those
+        two Newton solves at; the marginal fit keeps its own start."""
+        self.start = (None, None) if start is None else start
+        return _run_stages(self, self.prepared.config, phi)
 
     def _bind(self, spec):
         """``spec`` bound on the resample's at-risk rows."""
@@ -253,52 +272,65 @@ class _ResampleStages:
         rows = p.risk_rows[_blocks(p.risk_bounds, self.patients)]
         return BoundDesign(p.dataset, spec, "at_risk", rows)
 
-    def _design(self, bound, full):
+    def _design(self, bound, full, rs, kept):
         """The design on the resample's pairs and visit rows: gathered from
-        the full data's ``full``, or evaluated by ``bound`` where the spec
+        the full data's ``full`` by the ``kept`` pairs of its structure
+        ``rs``, or evaluated by ``bound`` on ``rs`` where the spec
         standardizes and ``full`` is None."""
         if full is None:
-            return self.rs.design(bound, self.prepared.dataset)
-        return _take_rows(full[0], self.pairs), _take_rows(full[1], self.visits)
+            return rs.design(bound, self.prepared.dataset)
+        return _take_rows(full[0], kept), _take_rows(full[1], self.visits)
+
+    @cached_property
+    def _structure(self):
+        """``(RiskStructure, kept pairs, (z on the pairs, z on the visits))``."""
+        p = self.prepared
+        pairs = p.pair_order[_blocks(p.pair_bounds, self.patients)]
+        # fit_cox binds before it builds the structure; a resample without
+        # pairs has no at-risk rows or no visits, and binding names the first
+        bound = self._bind(p.config.zspec) if p.z is None or not pairs.size else None
+        rs, kept = p.rs.subset(pairs, self.visits, self.n)
+        return rs, kept, self._design(bound, p.z, rs, kept)
+
+    @cached_property
+    def _h(self):
+        """The balance design on the resample's pairs and visit rows."""
+        p = self.prepared
+        bound = self._bind(p.config.balance.hspec) if p.h is None else None
+        return self._design(bound, p.h, *self._structure[:2])
+
+    @cached_property
+    def _x(self):
+        """The marginal design on the resample's visit rows."""
+        p = self.prepared
+        rows = p.visit_rows[self.visits]
+        bound = gee._bind(p.dataset, p.config.model, rows)
+        if bound.standardizes:
+            return bound.evaluate(p.dataset, rows)
+        return _take_rows(p.x, self.visits)
 
     def selection(self, phi):
         return weights._selection_factors(self.y, self.prepared.config.selection, phi)
 
     def visit_model(self, q):
-        p = self.prepared
-        zspec = p.config.zspec
-        pairs = p.pair_order[_blocks(p.pair_bounds, self.patients)]
-        # fit_cox binds before it builds the structure; a resample without
-        # pairs has no at-risk rows or no visits, and binding names the first
-        bound = self._bind(zspec) if p.z is None or not pairs.size else None
-        self.rs, self.pairs = p.rs.subset(pairs, self.visits, self.n)
-        z_cover, self.z_visit = self._design(bound, p.z)
-        return cox._fit(self.rs, z_cover, self.z_visit, zspec, q.values,
-                        self.start[0])
+        rs, _, (z_cover, z_visit) = self._structure
+        return cox._fit(rs, z_cover, z_visit, self.prepared.config.zspec,
+                        q.values, self.start[0])
 
     def weights(self, fit, q):
         p = self.prepared
+        rs, _, (_, z_visit) = self._structure
         if p.config.weight_kind == "mle":
-            return weights._inverse_intensity(fit, self.z_visit @ fit.gamma,
+            return weights._inverse_intensity(fit, z_visit @ fit.gamma,
                                               q.values, q.phi)
-        hspec = p.config.balance.hspec
-        bound = self._bind(hspec) if p.h is None else None
-        h_cover, h_visit = self._design(bound, p.h)
-        system = weights._BalanceSystem(self.rs, h_cover, h_visit, q.values, fit)
+        system = weights._BalanceSystem(rs, *self._h, q.values, fit)
         # a resample drops every term the whole data drops, so a start of
         # the length it keeps is for the same terms
-        return weights._balance(system, hspec, q.phi, self.start[1])
+        return weights._balance(system, p.config.balance.hspec, q.phi,
+                                self.start[1])
 
     def marginal(self, w):
-        p = self.prepared
-        model = p.config.model
-        rows = p.visit_rows[self.visits]
-        bound = gee._bind(p.dataset, model, rows)
-        if bound.standardizes:
-            x = bound.evaluate(p.dataset, rows)
-        else:
-            x = _take_rows(p.x, self.visits)
-        return gee._fit(x, self.y, w, model, self.n)
+        return gee._fit(self._x, self.y, w, self.prepared.config.model, self.n)
 
 
 @dataclass(frozen=True)
@@ -310,36 +342,82 @@ class ResampleSE:
     n_failed: int
 
 
-def _refits(prepared: _Prepared, draws, phi: float):
-    """``(estimates, n_failed)``: the coefficient rows of the resamples in
-    ``draws`` that fitted, in draw order, and how many failed.
+def _refits(prepared: _Prepared, draws, phis) -> dict:
+    """``{phi: (estimates, n_failed)}`` for each of ``phis``: the coefficient
+    rows of the resamples in ``draws`` that fitted at that phi, in draw
+    order, and how many failed.
 
-    Each resample lies O(1/n) from the whole data, so its visit model and
-    balance solves start at the solution of the whole data, fitted here
-    as the resample of every patient once; they start at zero if that
-    fit fails.
+    The pass is resample-major: each resample is gathered once and fitted
+    at every phi before the next is gathered, so one resample's arrays are
+    alive at a time.  Each resample lies O(1/n) from the whole data, so
+    its visit model and balance solves at a phi start at the solution of
+    the whole data there, fitted as the resample of every patient once;
+    they start at zero where that fit fails.
     """
-    start = None
+    starts = dict.fromkeys(phis)
     if prepared.config.weight_kind != "none":
-        try:
-            whole = prepared.analyze(np.arange(prepared.dataset.n_patients), phi)
-            start = (whole.visit_model.gamma, whole[1].gamma)
-        except IrrvisError:
-            pass
-    estimates = []
-    n_failed = 0
+        whole = _ResampleStages(prepared, np.arange(prepared.dataset.n_patients))
+        for phi in phis:
+            try:
+                point = whole.analyze(phi)
+                starts[phi] = (point.visit_model.gamma, point[1].gamma)
+            except IrrvisError:
+                pass
+        del whole
+    estimates = {phi: [] for phi in phis}
+    failed = dict.fromkeys(phis, 0)
     for patients in draws:
-        try:
-            fit, _ = prepared.analyze(patients, phi, start)
-        except NumericError:
-            n_failed += 1
-            continue
-        estimates.append(fit.beta)
-    return np.asarray(estimates), n_failed
+        stages = _ResampleStages(prepared, patients)
+        for phi in phis:
+            try:
+                fit, _ = stages.analyze(phi, starts[phi])
+            except NumericError:
+                failed[phi] += 1
+                continue
+            estimates[phi].append(fit.beta)
+        del stages
+    return {phi: (np.asarray(estimates[phi]), failed[phi]) for phi in phis}
 
 
-def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float, *,
-              _prepared: Optional[_Prepared] = None) -> ResampleSE:
+def _jackknife_se(est: np.ndarray, n_failed: int) -> ResampleSE:
+    m = len(est)
+    if m < 2:
+        raise NumericError("jackknife: fewer than 2 deletions converged")
+    dev = est - est.mean(axis=0)
+    se = np.sqrt((m - 1) / m * (dev * dev).sum(axis=0))
+    return ResampleSE(se, m, n_failed)
+
+
+def _bootstrap_se(est: np.ndarray, n_failed: int, b: int) -> ResampleSE:
+    if len(est) == 0:
+        raise NumericError("bootstrap: no replicate converged")
+    if n_failed > 0.1 * b:
+        warnings.warn(f"bootstrap: {n_failed} of {b} replicates failed")
+    se = est.std(axis=0, ddof=1) if est.shape[0] > 1 else np.full(est.shape[1], np.nan)
+    return ResampleSE(se, est.shape[0], n_failed)
+
+
+def _resampler(kind: str, n: int, b: int = 0, seed: int = 0):
+    """``(draws, summary)`` of the jackknife or the bootstrap on ``n``
+    patients: the patient indices of each resample, and the function from
+    one phi's ``(estimates, n_failed)`` to its :class:`ResampleSE`."""
+    if kind == "jackknife":
+        if n < 2:
+            raise ValidationError("jackknife needs at least 2 patients")
+        keep = np.arange(n)
+        return (np.delete(keep, k) for k in range(n)), _jackknife_se
+    draws = (substream(seed, r).integers(0, n, size=n) for r in range(b))
+    return draws, lambda est, n_failed: _bootstrap_se(est, n_failed, b)
+
+
+def _resample_se(dataset: Dataset, config: AnalysisConfig, phi: float,
+                 kind: str, b: int = 0, seed: int = 0) -> ResampleSE:
+    """The resampling pass of :func:`sweep` over the one-phi grid ``phi``."""
+    draws, summary = _resampler(kind, dataset.n_patients, b, seed)
+    return summary(*_refits(_Prepared(dataset, config), draws, [phi])[phi])
+
+
+def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float) -> ResampleSE:
     """Leave-one-patient-out standard errors.
 
     SE_j = sqrt( (n-1)/n * sum_k (beta_(-k),j - mean_j)^2 ) over the
@@ -350,43 +428,25 @@ def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float, *,
     arrays prepared once for the whole dataset (see :class:`_Prepared`)
     rather than rebuilt, with its visit model and balance solves started
     at the whole data's solution; it fails where that fit fails and its
-    estimate agrees with it to 1e-7 relative.
+    estimate agrees with it to 1e-7 relative.  This is the resampling pass
+    of :func:`sweep` over the one-phi grid ``phi``, so a sweep gives the
+    same standard errors bit for bit.
     """
-    n = dataset.n_patients
-    if n < 2:
-        raise ValidationError("jackknife needs at least 2 patients")
-    prepared = _prepared if _prepared is not None else _Prepared(dataset, config)
-    keep = np.arange(n)
-    est, n_failed = _refits(prepared, (np.delete(keep, k) for k in range(n)), phi)
-    m = len(est)
-    if m < 2:
-        raise NumericError("jackknife: fewer than 2 deletions converged")
-    dev = est - est.mean(axis=0)
-    se = np.sqrt((m - 1) / m * (dev * dev).sum(axis=0))
-    return ResampleSE(se, m, n_failed)
+    return _resample_se(dataset, config, phi, "jackknife")
 
 
 def bootstrap(dataset: Dataset, config: AnalysisConfig, phi: float,
-              b: int, seed: int, *,
-              _prepared: Optional[_Prepared] = None) -> ResampleSE:
+              b: int, seed: int) -> ResampleSE:
     """Patient-level bootstrap: SE from the replicate SD.
 
     Replicate r draws patients with a dedicated substream(seed, r), so any
     subset of replicates is reproducible in isolation.  A drawn patient
     enters once per draw, as in ``dataset.take_patients``; the replicate
     is fitted like a jackknife deletion, from arrays prepared once and
-    with its solves started at the whole data's solution.
+    with its solves started at the whole data's solution, in the same
+    pass that :func:`sweep` makes.
     """
-    n = dataset.n_patients
-    prepared = _prepared if _prepared is not None else _Prepared(dataset, config)
-    draws = (substream(seed, r).integers(0, n, size=n) for r in range(b))
-    est, n_failed = _refits(prepared, draws, phi)
-    if len(est) == 0:
-        raise NumericError("bootstrap: no replicate converged")
-    if n_failed > 0.1 * b:
-        warnings.warn(f"bootstrap: {n_failed} of {b} replicates failed")
-    se = est.std(axis=0, ddof=1) if est.shape[0] > 1 else np.full(est.shape[1], np.nan)
-    return ResampleSE(se, est.shape[0], n_failed)
+    return _resample_se(dataset, config, phi, "bootstrap", b, seed)
 
 
 _SWEEP_COLUMNS = ("phi", "term", "estimate", "se", "ci_lo", "ci_hi",
@@ -422,8 +482,36 @@ def _weight_summary(wset: Optional[WeightSet]):
     return float(w.min()), float(np.median(w)), float(w.max())
 
 
+def _sweep_ses(dataset: Dataset, config: AnalysisConfig, phis: list,
+               n_terms: int) -> dict:
+    """``{phi: standard errors}`` for each of ``phis`` whose resampling
+    succeeds, all NaN without resampling: one pass of :func:`_refits` over
+    the whole grid, each phi summarized as :func:`jackknife` or
+    :func:`bootstrap` would summarize it."""
+    resampling = config.resampling
+    if resampling.kind == "none":
+        return {phi: np.full(n_terms, np.nan) for phi in phis}
+    if not phis:
+        return {}
+    draws, summary = _resampler(resampling.kind, dataset.n_patients,
+                                resampling.b, resampling.seed)
+    ses = {}
+    for phi, refit in _refits(_Prepared(dataset, config), draws, phis).items():
+        try:
+            ses[phi] = summary(*refit).se
+        except NumericError:
+            pass
+    return ses
+
+
 def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
     """Run the pipeline at every phi in the grid.
+
+    The point fits come first, in grid order.  Resampling then makes one
+    pass over the jackknife deletions or bootstrap draws, which are the
+    same at every phi: each resample is gathered once and fitted at every
+    phi whose point fit succeeded, and each phi gets the standard errors
+    :func:`jackknife` or :func:`bootstrap` give there, bit for bit.
 
     A failure at one phi yields NaN rows flagged converged=0 there and
     does not disturb the other grid points.  The result keeps each phi's
@@ -431,28 +519,25 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
     fit; a point fit whose standard errors fail keeps its fits.
     """
     names = tuple(config.model.xspec.names)
-    rows = []
+    points = {}
     fits = {}
-    prepared = None
     for phi in config.phi_grid:
         try:
-            fit, wset = point = analyze_once(dataset, config, phi)
-            fits[phi] = (point.visit_model, wset)
-            if config.resampling.kind != "none" and prepared is None:
-                prepared = _Prepared(dataset, config)
-            if config.resampling.kind == "jackknife":
-                se = jackknife(dataset, config, phi, _prepared=prepared).se
-            elif config.resampling.kind == "bootstrap":
-                se = bootstrap(dataset, config, phi, config.resampling.b,
-                               config.resampling.seed, _prepared=prepared).se
-            else:
-                se = np.full(len(names), np.nan)
+            points[phi] = point = analyze_once(dataset, config, phi)
         except NumericError as exc:
-            fits.setdefault(phi, exc)
+            fits[phi] = exc
+            continue
+        fits[phi] = (point.visit_model, point[1])
+    ses = _sweep_ses(dataset, config, list(points), len(names))
+    rows = []
+    for phi in config.phi_grid:
+        if phi not in ses:
             failed = dict.fromkeys(_SWEEP_COLUMNS, float("nan"))
             rows.extend({**failed, "phi": phi, "term": term, "converged": False}
                         for term in names)
             continue
+        fit, wset = points[phi]
+        se = ses[phi]
         w_min, w_med, w_max = _weight_summary(wset)
         for j, term in enumerate(names):
             est = float(fit.beta[j])

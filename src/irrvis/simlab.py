@@ -51,7 +51,7 @@ from ._newton import maximize
 from .cox import _PartialLikelihood, fit_cox
 from .data import Dataset, _format_float, _write_csv
 from .design import ModelMatrixSpec
-from .errors import IrrvisError, NumericError, ValidationError
+from .errors import IrrvisError, NumericError, ValidationError, _require_integers
 from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
 from .gee import _fit as _fit_marginal
 from .riskset import RiskStructure
@@ -102,6 +102,7 @@ class ScenarioConfig:
         for key in ("gamma_z", "phi_true"):
             if not math.isfinite(getattr(self, key)):
                 raise ValidationError(f"{key} must be finite")
+        _require_integers("scenario", n=self.n, n_reps=self.n_reps, seed=self.seed)
         if self.n < 2:
             raise ValidationError("n must be at least 2")
         if self.n_reps < 1:

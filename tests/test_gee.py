@@ -256,3 +256,21 @@ def test_dispersion_accepts_weights():
     w = np.array([1.0, 1.0, 0.0])
     theta_w = estimate_dispersion(fit, ds, weights=w)
     assert theta_w >= 0.0
+
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.ones(2), "one entry per visit row"),
+    (np.array([1.0, -1.0, 1.0]), "non-negative and finite"),
+    (np.array([1.0, np.nan, 1.0]), "non-negative and finite"),
+    (np.array([1.0, np.inf, 1.0]), "non-negative and finite"),
+    (np.zeros(3), "all weights are zero"),
+])
+def test_dispersion_checks_weights_as_the_fit_does(weights, message):
+    ds = outcome_panel([0.0, 1.0, 5.0])
+    model = MarginalModelSpec(ModelMatrixSpec(["1"]), link="log", variance="poisson")
+    fit = fit_weighted_gee(ds, model)
+    with pytest.raises(ValidationError, match=message):
+        fit_weighted_gee(ds, model, weights=weights)
+    with pytest.raises(ValidationError, match=message):
+        estimate_dispersion(fit, ds, weights=weights)

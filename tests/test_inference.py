@@ -16,6 +16,7 @@ from irrvis import (AnalysisConfig, BalanceSpec, Dataset, IrrvisError,
                     jackknife, sweep, q_values, fit_cox, mle_weights,
                     SelectionSpec, substream)
 from irrvis.inference import _Prepared
+from irrvis.riskset import RiskStructure
 
 IDENT = MarginalModelSpec(ModelMatrixSpec(["1", "z1"]))
 
@@ -39,6 +40,25 @@ def test_resampling_validation():
         Resampling(kind="bootstrap", b=1)
     with pytest.raises(ValidationError, match="non-negative"):
         Resampling(kind="bootstrap", seed=-1)
+
+
+
+@pytest.mark.parametrize("field", ["b", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_resampling_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValidationError, match=f"resampling {field} must be an integer"):
+        Resampling("bootstrap", **{field: value})
+    with pytest.raises(ValidationError, match="must be an integer"):
+        Resampling("jackknife", **{field: value})
+
+
+def test_resampling_accepts_numpy_integers():
+    ds = random_panel(4, n_patients=8, p_visit=0.7)
+    numpy_ints = Resampling("bootstrap", b=np.int64(6), seed=np.uint32(9))
+    plain = Resampling("bootstrap", b=6, seed=9)
+    got = sweep(ds, none_config(resampling=numpy_ints))
+    want = sweep(ds, none_config(resampling=plain))
+    assert got.rows == want.rows
 
 
 def test_config_validation():
@@ -526,6 +546,56 @@ def test_sweep_se_equals_standalone_resampling(resampling):
             se = bootstrap(ds, cfg, phi, resampling.b, resampling.seed).se
         got = [r["se"] for r in result.rows if r["phi"] == phi]
         assert np.array_equal(got, se)
+
+
+
+def test_sweep_gathers_each_resample_once(monkeypatch):
+    # the deletions and the identity resample are each gathered once, for
+    # all three phi: n + 1 structures, where phi by phi would take 3(n + 1)
+    ds = random_panel(6, n_patients=8, p_visit=0.6)
+    cfg = mle_config(phi_grid=(-0.5, 0.0, 0.5), resampling=Resampling("jackknife"))
+    calls = []
+    subset = RiskStructure.subset
+
+    def counted(self, *args):
+        calls.append(args)
+        return subset(self, *args)
+
+    monkeypatch.setattr(RiskStructure, "subset", counted)
+    res = sweep(ds, cfg)
+    assert all(r["converged"] and np.isfinite(r["se"]) for r in res.rows)
+    assert len(calls) == ds.n_patients + 1
+
+
+@pytest.mark.parametrize("resampling", [Resampling("jackknife"),
+                                        Resampling("bootstrap", b=8, seed=2)])
+def test_sweep_se_beside_a_failed_point_fit_equals_standalone(resampling):
+    # phi = 200 overflows the selection values, so its point fit fails and
+    # the resampling pass fits the other two phi alone
+    ds = overflow_dataset()
+    cfg = mle_config(phi_grid=(0.0, 1.0, 200.0), resampling=resampling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = sweep(ds, cfg)
+        for phi in (0.0, 1.0):
+            if resampling.kind == "jackknife":
+                want = jackknife(ds, cfg, phi).se
+            else:
+                want = bootstrap(ds, cfg, phi, resampling.b, resampling.seed).se
+            got = [r["se"] for r in res.rows if r["phi"] == phi]
+            assert np.array_equal(got, want)
+    assert isinstance(res.fits[200.0], PipelineError)
+    assert all(np.isnan(r["se"]) and not r["converged"]
+               for r in res.rows if r["phi"] == 200.0)
+
+
+def test_one_patient_jackknife_sweep_is_rejected():
+    ds = Dataset.from_rows(grid_rows("a", {"z1": 1.0}, {1: 0.5, 3: 1.5}), tau=4.0)
+    cfg = none_config(model=MarginalModelSpec(ModelMatrixSpec(["1"])),
+                      phi_grid=(0.0, 0.5), resampling=Resampling("jackknife"))
+    assert analyze_once(ds, cfg, 0.0)[0].beta.shape == (1,)
+    with pytest.raises(ValidationError, match="jackknife needs at least 2 patients"):
+        sweep(ds, cfg)
 
 
 def test_resample_without_at_risk_rows_fails_as_take_patients():

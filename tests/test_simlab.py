@@ -258,6 +258,19 @@ def test_run_study_metric_identities():
     assert table.max_balance_residual is None
 
 
+
+@pytest.mark.parametrize("field", ["n", "n_reps", "seed"])
+@pytest.mark.parametrize("value", [100.5, 100.0, True, "100"])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValidationError, match=f"scenario {field} must be an integer"):
+        cont_cfg(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = cont_cfg(n=np.int64(100), n_reps=np.int32(2), seed=np.uint8(0))
+    assert cfg.n == 100 and cfg.n_reps == 2 and cfg.seed == 0
+
+
 def test_run_study_validation(monkeypatch):
     cfg = cont_cfg(n=10, n_reps=1)
     with pytest.raises(ValidationError, match="unknown estimator"):
