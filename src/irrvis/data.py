@@ -234,14 +234,21 @@ class Dataset:
         if indices.min() < 0 or indices.max() >= self.n_patients:
             raise ValidationError("patient index out of range")
         bounds = self.patient_row_bounds
-        pieces = [np.arange(bounds[i], bounds[i + 1]) for i in indices]
-        rows = np.concatenate(pieces)
-        counts = np.array([len(p) for p in pieces])
-        pidx = np.repeat(np.arange(len(indices), dtype=np.int32), counts)
+        rows = _blocks(bounds, indices)
+        pidx = np.repeat(np.arange(len(indices), dtype=np.int32), np.diff(bounds)[indices])
         return Dataset(list(range(len(indices))), pidx, self.start[rows],
                        self.end[rows], self.at_risk[rows], self.visit[rows],
                        self.outcome[rows], _take_rows(self.covariates, rows),
                        self.covariate_names, self.tau, validate=False)
+
+
+def _blocks(bounds: np.ndarray, patients: np.ndarray) -> np.ndarray:
+    """Positions of the given patients' entries, patient by patient, in an
+    array whose patient ``k`` holds positions ``bounds[k]:bounds[k+1]``."""
+    starts = bounds[patients]
+    counts = bounds[patients + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return offsets + np.arange(offsets.size)
 
 
 def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

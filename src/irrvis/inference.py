@@ -18,7 +18,7 @@ on the fitting cores of :mod:`irrvis.cox`, :mod:`irrvis.weights` and
 :mod:`irrvis.gee` that the public functions call.  Started from zero, as
 the public functions start, a resample reproduces ``take_patients`` bit
 for bit.  The jackknife and the bootstrap instead start each resample's
-visit model and balance solves at the full data's solution, which lies
+visit model and balance solves at the point fit's solution, which lies
 O(1/n) from the resample's; the Newton search then stops at a different
 iterate within the solvers' tolerance, and a resample's estimate moves
 by less than 1e-7 relative.  Point fits are unchanged.
@@ -28,8 +28,8 @@ the same at every phi.  So the sweep fits every point first and then
 makes one resample-major pass: each resample is gathered once (its
 structure, kept pairs and designs), fitted at every phi whose point fit
 succeeded, and dropped before the next is gathered.  :func:`jackknife`
-and :func:`bootstrap` are that pass over a one-phi grid, and each phi's
-standard errors in a sweep equal theirs bit for bit.
+and :func:`bootstrap` are that pass over a one-phi grid after its point
+fit, and each phi's standard errors in a sweep equal theirs bit for bit.
 
 Besides its table, a :class:`SweepResult` keeps, for each phi, the visit
 model fit and the weights of the point fit, or the PipelineError that
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import cox, gee, weights
 from .cox import fit_cox
-from .data import Dataset, _format_float, _take_rows, _write_csv
+from .data import Dataset, _blocks, _format_float, _take_rows, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
 from .errors import (IrrvisError, NumericError, ValidationError,
                      _require_integers, _stage)
@@ -180,15 +180,6 @@ class _DatasetStages:
         return fit_weighted_gee(self.dataset, self.config.model, weights=w)
 
 
-def _blocks(bounds: np.ndarray, patients: np.ndarray) -> np.ndarray:
-    """Positions of the given patients' entries, patient by patient, in an
-    array whose patient ``k`` holds positions ``bounds[k]:bounds[k+1]``."""
-    starts = bounds[patients]
-    counts = bounds[patients + 1] - starts
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return offsets + np.arange(offsets.size)
-
-
 class _Prepared:
     """One dataset's pipeline inputs, from which any resample's are gathered.
 
@@ -235,12 +226,6 @@ class _Prepared:
             return bound.evaluate(self.dataset, self.visit_rows)
         return self.rs.design(bound, self.dataset)
 
-    def analyze(self, patients: np.ndarray, phi: float, start=None):
-        """:func:`analyze_once` on ``dataset.take_patients(patients)``, its
-        visit model and balance solves started as in
-        :meth:`_ResampleStages.analyze`."""
-        return _ResampleStages(self, patients).analyze(phi, start)
-
 
 class _ResampleStages:
     """Pipeline stages on one resample, through the fitting cores.
@@ -260,9 +245,10 @@ class _ResampleStages:
         self.y = prepared.y[self.visits]
 
     def analyze(self, phi: float, start=None):
-        """The pipeline at ``phi``.  ``start`` is None, for solves from zero,
-        or the ``(visit model gamma, balance gamma)`` pair to start those
-        two Newton solves at; the marginal fit keeps its own start."""
+        """:func:`analyze_once` on ``dataset.take_patients(patients)`` at
+        ``phi``.  ``start`` is None, for solves from zero, or the ``(visit
+        model gamma, balance gamma)`` pair to start those two Newton solves
+        at; the marginal fit keeps its own start."""
         self.start = (None, None) if start is None else start
         return _run_stages(self, self.prepared.config, phi)
 
@@ -342,41 +328,36 @@ class ResampleSE:
     n_failed: int
 
 
-def _refits(prepared: _Prepared, draws, phis) -> dict:
-    """``{phi: (estimates, n_failed)}`` for each of ``phis``: the coefficient
-    rows of the resamples in ``draws`` that fitted at that phi, in draw
-    order, and how many failed.
+def _refits(prepared: _Prepared, draws, points: dict) -> dict:
+    """``{phi: (estimates, n_failed)}`` for each phi of ``points``: the
+    coefficient rows of the resamples in ``draws`` that fitted at that phi,
+    in draw order, and how many failed.  A point fit has passed validation,
+    so a resample's ValidationError (a standardized term constant on its
+    rows) is its own and counts as a failure, as a NumericError does.
 
     The pass is resample-major: each resample is gathered once and fitted
     at every phi before the next is gathered, so one resample's arrays are
     alive at a time.  Each resample lies O(1/n) from the whole data, so
     its visit model and balance solves at a phi start at the solution of
-    the whole data there, fitted as the resample of every patient once;
-    they start at zero where that fit fails.
+    ``points[phi]``, that phi's :func:`analyze_once`, or at zero where it
+    is None.
     """
-    starts = dict.fromkeys(phis)
-    if prepared.config.weight_kind != "none":
-        whole = _ResampleStages(prepared, np.arange(prepared.dataset.n_patients))
-        for phi in phis:
-            try:
-                point = whole.analyze(phi)
-                starts[phi] = (point.visit_model.gamma, point[1].gamma)
-            except IrrvisError:
-                pass
-        del whole
-    estimates = {phi: [] for phi in phis}
-    failed = dict.fromkeys(phis, 0)
+    starts = {phi: None if point is None or point.visit_model is None
+              else (point.visit_model.gamma, point[1].gamma)
+              for phi, point in points.items()}
+    estimates = {phi: [] for phi in points}
+    failed = dict.fromkeys(points, 0)
     for patients in draws:
         stages = _ResampleStages(prepared, patients)
-        for phi in phis:
+        for phi in points:
             try:
                 fit, _ = stages.analyze(phi, starts[phi])
-            except NumericError:
+            except IrrvisError:
                 failed[phi] += 1
                 continue
             estimates[phi].append(fit.beta)
         del stages
-    return {phi: (np.asarray(estimates[phi]), failed[phi]) for phi in phis}
+    return {phi: (np.asarray(estimates[phi]), failed[phi]) for phi in points}
 
 
 def _jackknife_se(est: np.ndarray, n_failed: int) -> ResampleSE:
@@ -414,23 +395,29 @@ def _resample_se(dataset: Dataset, config: AnalysisConfig, phi: float,
                  kind: str, b: int = 0, seed: int = 0) -> ResampleSE:
     """The resampling pass of :func:`sweep` over the one-phi grid ``phi``."""
     draws, summary = _resampler(kind, dataset.n_patients, b, seed)
-    return summary(*_refits(_Prepared(dataset, config), draws, [phi])[phi])
+    try:
+        point = analyze_once(dataset, config, phi)
+    except NumericError:
+        point = None
+    return summary(*_refits(_Prepared(dataset, config), draws, {phi: point})[phi])
 
 
 def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float) -> ResampleSE:
     """Leave-one-patient-out standard errors.
 
     SE_j = sqrt( (n-1)/n * sum_k (beta_(-k),j - mean_j)^2 ) over the
-    deletions that converged; failures are dropped and counted.
+    deletions that fitted; numeric and validation failures are dropped and
+    counted.
 
     Deletion ``k`` is fitted as ``analyze_once`` on
     ``dataset.take_patients`` of every patient but ``k`` would fit it, from
     arrays prepared once for the whole dataset (see :class:`_Prepared`)
     rather than rebuilt, with its visit model and balance solves started
-    at the whole data's solution; it fails where that fit fails and its
-    estimate agrees with it to 1e-7 relative.  This is the resampling pass
-    of :func:`sweep` over the one-phi grid ``phi``, so a sweep gives the
-    same standard errors bit for bit.
+    at the solution of the point fit, ``analyze_once`` at ``phi`` (at zero
+    if that fails numerically; its ValidationError propagates); it fails
+    where that fit fails and its estimate agrees with it to 1e-7 relative.
+    This is the pass of :func:`sweep` over the one-phi grid ``phi``, so a
+    sweep gives the same standard errors bit for bit.
     """
     return _resample_se(dataset, config, phi, "jackknife")
 
@@ -443,8 +430,8 @@ def bootstrap(dataset: Dataset, config: AnalysisConfig, phi: float,
     subset of replicates is reproducible in isolation.  A drawn patient
     enters once per draw, as in ``dataset.take_patients``; the replicate
     is fitted like a jackknife deletion, from arrays prepared once and
-    with its solves started at the whole data's solution, in the same
-    pass that :func:`sweep` makes.
+    with its solves started at the point fit's solution, in the same pass
+    that :func:`sweep` makes; failed replicates are dropped and counted.
     """
     return _resample_se(dataset, config, phi, "bootstrap", b, seed)
 
@@ -482,21 +469,21 @@ def _weight_summary(wset: Optional[WeightSet]):
     return float(w.min()), float(np.median(w)), float(w.max())
 
 
-def _sweep_ses(dataset: Dataset, config: AnalysisConfig, phis: list,
+def _sweep_ses(dataset: Dataset, config: AnalysisConfig, points: dict,
                n_terms: int) -> dict:
-    """``{phi: standard errors}`` for each of ``phis`` whose resampling
-    succeeds, all NaN without resampling: one pass of :func:`_refits` over
-    the whole grid, each phi summarized as :func:`jackknife` or
+    """``{phi: standard errors}`` for each phi of the successful point fits
+    ``points`` whose resampling succeeds, all NaN without resampling: one
+    pass of :func:`_refits`, each phi summarized as :func:`jackknife` or
     :func:`bootstrap` would summarize it."""
     resampling = config.resampling
     if resampling.kind == "none":
-        return {phi: np.full(n_terms, np.nan) for phi in phis}
-    if not phis:
+        return {phi: np.full(n_terms, np.nan) for phi in points}
+    if not points:
         return {}
     draws, summary = _resampler(resampling.kind, dataset.n_patients,
                                 resampling.b, resampling.seed)
     ses = {}
-    for phi, refit in _refits(_Prepared(dataset, config), draws, phis).items():
+    for phi, refit in _refits(_Prepared(dataset, config), draws, points).items():
         try:
             ses[phi] = summary(*refit).se
         except NumericError:
@@ -510,8 +497,10 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
     The point fits come first, in grid order.  Resampling then makes one
     pass over the jackknife deletions or bootstrap draws, which are the
     same at every phi: each resample is gathered once and fitted at every
-    phi whose point fit succeeded, and each phi gets the standard errors
-    :func:`jackknife` or :func:`bootstrap` give there, bit for bit.
+    phi whose point fit succeeded, started at that fit's solution, and
+    each phi gets the standard errors :func:`jackknife` or
+    :func:`bootstrap` give there, bit for bit.  A resample that fails
+    there, numerically or in validating its own rows, is counted.
 
     A failure at one phi yields NaN rows flagged converged=0 there and
     does not disturb the other grid points.  The result keeps each phi's
@@ -528,7 +517,7 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
             fits[phi] = exc
             continue
         fits[phi] = (point.visit_model, point[1])
-    ses = _sweep_ses(dataset, config, list(points), len(names))
+    ses = _sweep_ses(dataset, config, points, len(names))
     rows = []
     for phi in config.phi_grid:
         if phi not in ses:

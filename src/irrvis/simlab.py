@@ -30,8 +30,8 @@ coefficient from a very large one-off fit (:func:`limiting_phi`).
 That fit draws its float32 design (1 GB at the default 100 000 patients)
 in fixed blocks of patients, each from its own substream, and stores it
 grid-time-major: every row is at risk at exactly its own grid time, the
-grid form of :class:`~irrvis.riskset.RiskStructure`.  It runs on the
-partial likelihood of :func:`~irrvis.cox.fit_cox`, which sums in float64
+grid form of :class:`~irrvis.riskset.RiskStructure`.  It is fitted by
+``cox._fit``, as :func:`~irrvis.cox.fit_cox` is, which sums in float64
 over blocks of pairs and so needs only a few MB beyond the design.
 """
 
@@ -47,8 +47,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._newton import maximize
-from .cox import _PartialLikelihood, fit_cox
+from .cox import _fit as _fit_intensity
+from .cox import fit_cox
 from .data import Dataset, _format_float, _write_csv
 from .design import ModelMatrixSpec
 from .errors import IrrvisError, NumericError, ValidationError, _require_integers
@@ -242,11 +242,9 @@ def limiting_phi(cfg: ScenarioConfig, n_large: int = 100_000,
     design, visit = _limiting_design(cfg, n_large, correct_covariates)
     rs = RiskStructure.grid(GRID_TIMES, n_large, visit)
     z_visit = design[:, rs.visit_rows].T.astype(np.float64)
-    pl = _PartialLikelihood(rs, design.T, z_visit, np.ones(rs.visit_rows.size))
-    gamma, _, _, _ = maximize(
-        pl.at, np.zeros(design.shape[0]), "limiting fit",
-        "limiting fit: information matrix is not positive definite")
-    return float(gamma[-1])
+    spec = ModelMatrixSpec(["a", "b", "ab", "x", "sy"])     # the design's rows
+    fit = _fit_intensity(rs, design.T, z_visit, spec, np.ones(rs.visit_rows.size))
+    return float(fit.gamma[-1])
 
 
 def _cell_fit(blocks, model: MarginalModelSpec) -> GeeFit:

@@ -15,7 +15,7 @@ from irrvis import (AnalysisConfig, BalanceSpec, Dataset, IrrvisError,
                     ValidationError, analyze_once, bootstrap, fit_weighted_gee,
                     jackknife, sweep, q_values, fit_cox, mle_weights,
                     SelectionSpec, substream)
-from irrvis.inference import _Prepared
+from irrvis.inference import _Prepared, _ResampleStages
 from irrvis.riskset import RiskStructure
 
 IDENT = MarginalModelSpec(ModelMatrixSpec(["1", "z1"]))
@@ -444,6 +444,11 @@ PARITY_CONFIGS = {
 }
 
 
+def resample(prepared, patients, phi, start=None):
+    """``analyze_once`` on ``take_patients(patients)``, from the prepared data."""
+    return _ResampleStages(prepared, patients).analyze(phi, start)
+
+
 def same_pass(prepared, ds, cfg, patients, phi):
     """The prepared resample reproduces ``analyze_once`` on
     ``take_patients`` bit for bit, or fails the same way; True on success."""
@@ -451,12 +456,12 @@ def same_pass(prepared, ds, cfg, patients, phi):
         want_fit, want_w = analyze_once(ds.take_patients(patients), cfg, phi)
     except IrrvisError as exc:
         with pytest.raises(IrrvisError) as err:
-            prepared.analyze(patients, phi)
+            resample(prepared, patients, phi)
         assert type(err.value) is type(exc)
         assert str(err.value) == str(exc)
         assert getattr(err.value, "stage", None) == getattr(exc, "stage", None)
         return False
-    fit, w = prepared.analyze(patients, phi)
+    fit, w = resample(prepared, patients, phi)
     for field in ("beta", "fitted_means"):
         assert np.array_equal(getattr(fit, field), getattr(want_fit, field))
     assert (fit.n_iter, fit.max_eq_norm) == (want_fit.n_iter, want_fit.max_eq_norm)
@@ -490,15 +495,15 @@ def test_prepared_resamples_match_take_patients(name):
 
 def warm_start(prepared, phi):
     """The start every resample's solves get at ``phi``: the solution of
-    the resample of every patient."""
-    whole = prepared.analyze(np.arange(prepared.dataset.n_patients), phi)
-    return whole.visit_model.gamma, whole[1].gamma
+    the point fit, ``analyze_once`` on the whole dataset."""
+    point = analyze_once(prepared.dataset, prepared.config, phi)
+    return point.visit_model.gamma, point[1].gamma
 
 
 def outcome(prepared, patients, phi, start=None):
     """``beta`` of the resample, or the type, stage and message it fails with."""
     try:
-        return prepared.analyze(patients, phi, start)[0].beta
+        return resample(prepared, patients, phi, start)[0].beta
     except IrrvisError as exc:
         return type(exc), getattr(exc, "stage", None), str(exc)
 
@@ -550,8 +555,8 @@ def test_sweep_se_equals_standalone_resampling(resampling):
 
 
 def test_sweep_gathers_each_resample_once(monkeypatch):
-    # the deletions and the identity resample are each gathered once, for
-    # all three phi: n + 1 structures, where phi by phi would take 3(n + 1)
+    # each deletion is gathered once, for all three phi, and the warm starts
+    # come from the point fits: n structures, where phi by phi would take 3n
     ds = random_panel(6, n_patients=8, p_visit=0.6)
     cfg = mle_config(phi_grid=(-0.5, 0.0, 0.5), resampling=Resampling("jackknife"))
     calls = []
@@ -564,7 +569,62 @@ def test_sweep_gathers_each_resample_once(monkeypatch):
     monkeypatch.setattr(RiskStructure, "subset", counted)
     res = sweep(ds, cfg)
     assert all(r["converged"] and np.isfinite(r["se"]) for r in res.rows)
-    assert len(calls) == ds.n_patients + 1
+    assert len(calls) == ds.n_patients
+
+
+def test_sweep_fits_each_point_once(monkeypatch):
+    # three point fits and three fits of each deletion: the resamples start
+    # from the point fits, not from a refit of the whole data
+    from irrvis import cox
+
+    ds = random_panel(6, n_patients=8, p_visit=0.6)
+    cfg = dataclasses.replace(INVARIANCE_CONFIGS[2], phi_grid=(-0.5, 0.0, 0.5),
+                              resampling=Resampling("jackknife"))
+    calls = []
+    fit = cox._fit
+
+    def counted(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(cox, "_fit", counted)
+    res = sweep(ds, cfg)
+    assert all(r["converged"] and np.isfinite(r["se"]) for r in res.rows)
+    assert len(calls) == 3 * ds.n_patients + 3
+
+
+@pytest.mark.parametrize("resampling", [Resampling("jackknife"),
+                                        Resampling("bootstrap", b=8, seed=4)])
+def test_resample_failing_validation_is_counted(resampling):
+    # std(flag) cannot be standardized on a resample without the one
+    # flagged patient: those resamples fail and are counted, as take_patients
+    # refits fail, and the others give finite standard errors
+    ds = parity_dataset()
+    cfg = dataclasses.replace(PARITY_CONFIGS["mle-std-flag"], phi_grid=(0.0, 0.4),
+                              resampling=resampling)
+    n = ds.n_patients
+    if resampling.kind == "jackknife":
+        draws = [np.delete(np.arange(n), k) for k in range(n)]
+    else:
+        draws = [substream(4, r).integers(0, n, size=n) for r in range(8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = sweep(ds, cfg)
+        for phi in cfg.phi_grid:
+            failed = 0
+            for d in draws:
+                try:
+                    analyze_once(ds.take_patients(d), cfg, phi)
+                except IrrvisError:
+                    failed += 1
+            if resampling.kind == "jackknife":
+                got = jackknife(ds, cfg, phi)
+            else:
+                got = bootstrap(ds, cfg, phi, resampling.b, resampling.seed)
+            assert 0 < got.n_failed == failed < len(draws) - 1
+            assert np.all(np.isfinite(got.se))
+            se = [r["se"] for r in res.rows if r["phi"] == phi]
+            assert np.array_equal(se, got.se)
 
 
 @pytest.mark.parametrize("resampling", [Resampling("jackknife"),
@@ -632,10 +692,10 @@ def test_jackknife_and_bootstrap_match_take_patients_loops():
             except NumericError:
                 failed += 1
                 with pytest.raises(NumericError):
-                    prepared.analyze(d, 0.2, start)
+                    resample(prepared, d, 0.2, start)
                 continue
             cold.append(fit.beta)
-            warm.append(prepared.analyze(d, 0.2, start)[0].beta)
+            warm.append(resample(prepared, d, 0.2, start)[0].beta)
         return np.asarray(cold), np.asarray(warm), failed
 
     def jackknife_se(est):
@@ -698,3 +758,29 @@ def test_patient_order_leaves_jackknife_se_unchanged(seed, which, order):
     got = jackknife(ds.take_patients(order), cfg, 0.2)
     assert got.n_failed == want.n_failed
     assert np.allclose(got.se, want.se, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), which=st.integers(0, 2),
+       phi=st.sampled_from([0.0, 0.3]))
+def test_duplicating_every_patient_leaves_estimates_unchanged(seed, which, phi):
+    # every sum of the pipeline doubles and every mean stays, so only
+    # rounding moves the estimates: at most 2.4e-15 (relative to max(1,
+    # |beta|)) and 8.6e-15 relative in the weights over 400 seeds
+    ds = random_panel(seed, n_patients=6, p_visit=0.6)
+    cfg = INVARIANCE_CONFIGS[which]
+    n = ds.n_patients
+    twice = ds.take_patients(np.r_[0:n, 0:n])
+    try:
+        want_fit, want_w = analyze_once(ds, cfg, phi)
+    except NumericError as exc:
+        with pytest.raises(type(exc)):
+            analyze_once(twice, cfg, phi)
+        return
+    fit, w = analyze_once(twice, cfg, phi)
+    tol = 1e-12 * np.maximum(1.0, np.abs(want_fit.beta))
+    assert np.all(np.abs(fit.beta - want_fit.beta) <= tol)
+    if want_w is not None:
+        # visit rows come patient by patient, so the copies' rows follow
+        both = np.concatenate([want_w.weights, want_w.weights])
+        assert np.allclose(w.weights, both, rtol=1e-12, atol=0.0)
