@@ -344,12 +344,9 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         outdir = _outdir(config, args.output)
         return _COMMANDS[args.command](config, args.config, outdir, args.threads)
-    except ValidationError as exc:
-        print(f"irrvis: {exc}", file=sys.stderr)
-        return 1
     except IrrvisError as exc:
         print(f"irrvis: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

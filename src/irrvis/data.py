@@ -228,9 +228,12 @@ class Dataset:
         Indices may repeat (bootstrap resampling); each occurrence becomes a
         distinct patient with a fresh integer label.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         if indices.size == 0:
             raise ValidationError("cannot build a dataset with no patients")
+        if indices.dtype.kind not in "iu":
+            raise ValidationError(f"patient indices must be integers, not {indices.dtype}")
+        indices = indices.astype(np.int64, copy=False)
         if indices.min() < 0 or indices.max() >= self.n_patients:
             raise ValidationError("patient index out of range")
         bounds = self.patient_row_bounds

@@ -7,21 +7,22 @@ attaches standard errors from leave-one-patient-out jackknife or a
 patient-level bootstrap.  Confidence intervals in sweep output are always
 normal-theory, estimate +/- 1.96 * SE.
 
-A resample is a list of patient indices and is analysed as
-``analyze_once`` would analyse ``dataset.take_patients`` of it, without
-building that dataset.  The sweep prepares the full data once (its risk
-structure and the design of each spec on its incidence pairs and visit
-rows, grouped by patient); each resample gathers its patients' blocks in
-its own order, drops the event times at which none of its visits falls
-together with the pairs covering them, and runs the same pipeline stages
-on the fitting cores of :mod:`irrvis.cox`, :mod:`irrvis.weights` and
-:mod:`irrvis.gee` that the public functions call.  Started from zero, as
-the public functions start, a resample reproduces ``take_patients`` bit
-for bit.  The jackknife and the bootstrap instead start each resample's
-visit model and balance solves at the point fit's solution, which lies
-O(1/n) from the resample's; the Newton search then stops at a different
-iterate within the solvers' tolerance, and a resample's estimate moves
-by less than 1e-7 relative.  Point fits are unchanged.
+A resample is a vector of copies per patient, analysed as ``analyze_once``
+would analyse ``dataset.take_patients`` of the patients in ascending
+order, each repeated by its copies, without building that dataset.  The
+sweep prepares the full data once (its risk structure and the design of
+each spec on its incidence pairs and visit rows); each resample repeats
+the event-major pairs by their patient's copies, drops the event times at
+which none of its visits falls together with the pairs covering them, and
+runs the same pipeline stages on the fitting cores of :mod:`irrvis.cox`,
+:mod:`irrvis.weights` and :mod:`irrvis.gee` that the public functions
+call.  Started from zero, as the public functions start, a resample
+reproduces ``take_patients`` bit for bit.  The jackknife and the
+bootstrap instead start each resample's visit model and balance solves
+at the point fit's solution, which lies O(1/n) from the resample's; the
+Newton search then stops at a different iterate within the solvers'
+tolerance, and a resample's estimate moves by less than 1e-7 relative.
+Point fits are unchanged.
 
 Only the selection factors depend on phi, and the deletions or draws are
 the same at every phi.  So the sweep fits every point first and then
@@ -183,35 +184,28 @@ class _DatasetStages:
 class _Prepared:
     """One dataset's pipeline inputs, from which any resample's are gathered.
 
-    A resample is a sequence of patient indices, possibly repeated; it
-    stands for ``dataset.take_patients(indices)``.  The full dataset's
-    :class:`RiskStructure` and the designs of every spec on its incidence
-    pairs and visit rows are built once.  Visit rows and at-risk rows are
-    grouped by patient; the event-major pairs are reached through
-    ``pair_order``, a permutation that groups them by patient.  So a
-    resample's pairs, visit rows and at-risk rows are gathered patient
-    block by patient block, in the resample's order.  A spec with
-    standardized terms is bound on each resample's own rows and evaluated
-    there instead, as :func:`analyze_once` on the resample would; its
-    full-data design is None.
+    A resample is a vector of copies per patient (see the module
+    docstring).  The full dataset's :class:`RiskStructure` and the designs
+    of every spec on its incidence pairs and visit rows are built once.
+    Visit rows are grouped by patient, so a resample's are gathered patient
+    block by patient block.  The pairs stay event-major; ``pair_patient``
+    names each pair's patient, by whose copies :meth:`RiskStructure.subset`
+    repeats it.  A spec with standardized terms is bound on each resample's
+    own rows and evaluated there instead, as :func:`analyze_once` on the
+    resample would; its full-data design is None.
     """
 
     def __init__(self, dataset: Dataset, config: AnalysisConfig):
         self.dataset = dataset
         self.config = config
-        bounds = dataset.patient_row_bounds
         self.visit_rows = dataset.visit_row_indices()
-        self.visit_bounds = np.searchsorted(self.visit_rows, bounds)
+        self.visit_bounds = np.searchsorted(self.visit_rows, dataset.patient_row_bounds)
         self.y = dataset.outcome[self.visit_rows]
         self.x = self._full(config.model.xspec, "visits")
         if config.weight_kind == "none":
             return
-        self.risk_rows = dataset.at_risk_row_indices()
-        self.risk_bounds = np.searchsorted(self.risk_rows, bounds)
         self.rs = RiskStructure(dataset)
-        # patient-major, and within a patient in row order (then event)
-        self.pair_order = np.argsort(self.rs.cover_row, kind="stable")
-        self.pair_bounds = np.searchsorted(self.rs.cover_row[self.pair_order], bounds)
+        self.pair_patient = dataset.patient_index[self.rs.cover_row]
         self.z = self._full(config.zspec, "at_risk")
         if config.weight_kind == "balancing":
             self.h = self._full(config.balance.hspec, "at_risk")
@@ -236,27 +230,28 @@ class _ResampleStages:
     a gather that fails is not kept and fails the same way again.
     """
 
-    def __init__(self, prepared: _Prepared, patients: np.ndarray):
+    def __init__(self, prepared: _Prepared, copies: np.ndarray):
         self.prepared = prepared
         self.start = (None, None)
-        self.patients = np.asarray(patients, dtype=np.int64)
+        self.copies = copies
+        self.patients = np.repeat(np.arange(copies.size), copies)
         self.n = self.patients.size
         self.visits = _blocks(prepared.visit_bounds, self.patients)
         self.y = prepared.y[self.visits]
 
     def analyze(self, phi: float, start=None):
-        """:func:`analyze_once` on ``dataset.take_patients(patients)`` at
-        ``phi``.  ``start`` is None, for solves from zero, or the ``(visit
-        model gamma, balance gamma)`` pair to start those two Newton solves
-        at; the marginal fit keeps its own start."""
+        """:func:`analyze_once` on the resample at ``phi``.  ``start`` is
+        None, for solves from zero, or the ``(visit model gamma, balance
+        gamma)`` pair to start those two Newton solves at; the marginal fit
+        keeps its own start."""
         self.start = (None, None) if start is None else start
         return _run_stages(self, self.prepared.config, phi)
 
     def _bind(self, spec):
         """``spec`` bound on the resample's at-risk rows."""
-        p = self.prepared
-        rows = p.risk_rows[_blocks(p.risk_bounds, self.patients)]
-        return BoundDesign(p.dataset, spec, "at_risk", rows)
+        dataset = self.prepared.dataset
+        rows = _blocks(dataset.patient_row_bounds, self.patients)
+        return BoundDesign(dataset, spec, "at_risk", rows[dataset.at_risk[rows]])
 
     def _design(self, bound, full, rs, kept):
         """The design on the resample's pairs and visit rows: gathered from
@@ -271,11 +266,11 @@ class _ResampleStages:
     def _structure(self):
         """``(RiskStructure, kept pairs, (z on the pairs, z on the visits))``."""
         p = self.prepared
-        pairs = p.pair_order[_blocks(p.pair_bounds, self.patients)]
+        copies = self.copies[p.pair_patient]
         # fit_cox binds before it builds the structure; a resample without
         # pairs has no at-risk rows or no visits, and binding names the first
-        bound = self._bind(p.config.zspec) if p.z is None or not pairs.size else None
-        rs, kept = p.rs.subset(pairs, self.visits, self.n)
+        bound = self._bind(p.config.zspec) if p.z is None or not copies.any() else None
+        rs, kept = p.rs.subset(copies, self.visits, self.n)
         return rs, kept, self._design(bound, p.z, rs, kept)
 
     @cached_property
@@ -347,8 +342,8 @@ def _refits(prepared: _Prepared, draws, points: dict) -> dict:
               for phi, point in points.items()}
     estimates = {phi: [] for phi in points}
     failed = dict.fromkeys(points, 0)
-    for patients in draws:
-        stages = _ResampleStages(prepared, patients)
+    for copies in draws:
+        stages = _ResampleStages(prepared, copies)
         for phi in points:
             try:
                 fit, _ = stages.analyze(phi, starts[phi])
@@ -380,14 +375,14 @@ def _bootstrap_se(est: np.ndarray, n_failed: int, b: int) -> ResampleSE:
 
 def _resampler(kind: str, n: int, b: int = 0, seed: int = 0):
     """``(draws, summary)`` of the jackknife or the bootstrap on ``n``
-    patients: the patient indices of each resample, and the function from
-    one phi's ``(estimates, n_failed)`` to its :class:`ResampleSE`."""
+    patients: the copies of each patient in each resample, and the function
+    from one phi's ``(estimates, n_failed)`` to its :class:`ResampleSE`."""
     if kind == "jackknife":
         if n < 2:
             raise ValidationError("jackknife needs at least 2 patients")
-        keep = np.arange(n)
-        return (np.delete(keep, k) for k in range(n)), _jackknife_se
-    draws = (substream(seed, r).integers(0, n, size=n) for r in range(b))
+        return ((np.arange(n) != k).astype(np.int64) for k in range(n)), _jackknife_se
+    draws = (np.bincount(substream(seed, r).integers(0, n, size=n), minlength=n)
+             for r in range(b))
     return draws, lambda est, n_failed: _bootstrap_se(est, n_failed, b)
 
 
@@ -427,11 +422,11 @@ def bootstrap(dataset: Dataset, config: AnalysisConfig, phi: float,
     """Patient-level bootstrap: SE from the replicate SD.
 
     Replicate r draws patients with a dedicated substream(seed, r), so any
-    subset of replicates is reproducible in isolation.  A drawn patient
-    enters once per draw, as in ``dataset.take_patients``; the replicate
-    is fitted like a jackknife deletion, from arrays prepared once and
-    with its solves started at the point fit's solution, in the same pass
-    that :func:`sweep` makes; failed replicates are dropped and counted.
+    subset of replicates is reproducible in isolation.  The replicate is
+    ``dataset.take_patients`` of its draw in ascending order, fitted like a
+    jackknife deletion, from arrays prepared once and with its solves
+    started at the point fit's solution, in the same pass that
+    :func:`sweep` makes; failed replicates are dropped and counted.
     """
     return _resample_se(dataset, config, phi, "bootstrap", b, seed)
 

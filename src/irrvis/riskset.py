@@ -98,37 +98,34 @@ class RiskStructure:
                 "an event time has an empty risk set; check at_risk flags")
         self.event_starts = np.cumsum(self.event_counts) - self.event_counts
 
-    def subset(self, pairs: np.ndarray, visits: np.ndarray, n: int):
-        """Structure of a dataset built from some of this one's rows.
+    def subset(self, copies: np.ndarray, visits: np.ndarray, n: int):
+        """Structure of a dataset of this one's patients in ascending order,
+        each repeated by its copies (possibly 0).
 
-        ``pairs`` and ``visits`` index this structure's incidence pairs and
-        visit rows, in the order the new dataset holds them (they may
-        repeat).  Event times at which none of ``visits`` falls are dropped
-        with the pairs that cover them, and the remaining events are
-        renumbered.  The surviving pairs are stable-sorted by event, so the
-        result is event-major with the new dataset's row order inside each
-        event, as :class:`RiskStructure` of the new dataset would be.
-        Returns ``(structure, kept)``: ``kept`` lists the surviving entries
-        of ``pairs`` in the result's pair order, so per-pair arrays are
-        gathered by it.  Row indices in the result still refer to this
-        structure's dataset.
+        ``copies`` holds the copies of each incidence pair's patient, and
+        ``visits`` indexes this structure's visit rows in the new dataset's
+        order.  Event times at which none of ``visits`` falls are dropped
+        with the pairs that cover them, the remaining events are renumbered,
+        and every other pair is repeated by its copies in place.  A patient
+        of a validated dataset has at most one pair per event, so the result
+        is event-major with the new dataset's row order inside each event,
+        as :class:`RiskStructure` of the new dataset would be.  Returns
+        ``(structure, kept)``: per-pair arrays are gathered by ``kept``, the
+        pair of this structure behind each of the result's.  Row indices in
+        the result still refer to this structure's dataset.
         """
         events = np.zeros(self.K, dtype=bool)
         events[self.visit_event[visits]] = True
         if not events.any():
             raise ValidationError("dataset has no visits")
         renumber = np.cumsum(events) - 1
-        pair_event = self.cover_event[pairs]
-        survives = events[pair_event]
-        kept, pair_event = pairs[survives], pair_event[survives]
-        order = np.argsort(pair_event, kind="stable")
-        kept = kept[order]
+        kept = np.repeat(np.arange(copies.size), copies * events[self.cover_event])
         out = object.__new__(RiskStructure)
         out.n = int(n)
         out.event_times = self.event_times[events]
         out.K = int(out.event_times.size)
         out.cover_row = self.cover_row[kept]
-        out.cover_event = renumber[pair_event[order]]
+        out.cover_event = renumber[self.cover_event[kept]]
         out.visit_rows = self.visit_rows[visits]
         out.visit_event = renumber[self.visit_event[visits]]
         out._index_events()

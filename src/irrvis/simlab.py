@@ -38,6 +38,7 @@ over blocks of pairs and so needs only a few MB beyond the design.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -99,9 +100,10 @@ class ScenarioConfig:
             raise ValidationError("outcome must be continuous or count")
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"scenario must be one of {SCENARIOS}")
-        for key in ("gamma_z", "phi_true"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValidationError(f"{key} must be finite")
+        for key, value in (("gamma_z", self.gamma_z), ("phi_true", self.phi_true)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValidationError(f"{key} must be finite and real, got {value!r}")
         _require_integers("scenario", n=self.n, n_reps=self.n_reps, seed=self.seed)
         if self.n < 2:
             raise ValidationError("n must be at least 2")
@@ -204,6 +206,12 @@ def generate(cfg: ScenarioConfig, rep: int):
 # -- limiting sensitivity value ---------------------------------------------
 
 
+def _require_n_large(n_large) -> None:
+    _require_integers("simulation", n_large=n_large)
+    if n_large < 1:
+        raise ValidationError("n_large must be at least 1")
+
+
 def _limiting_design(cfg: ScenarioConfig, n_large: int,
                      correct_covariates: bool):
     """Covariate matrix (float32) and visit flags for the limiting fit.
@@ -239,6 +247,7 @@ def limiting_phi(cfg: ScenarioConfig, n_large: int = 100_000,
     of S(Y).  Deterministic given ``cfg``: the internal streams are keyed
     by ``cfg.seed`` on a reserved index range.
     """
+    _require_n_large(n_large)
     design, visit = _limiting_design(cfg, n_large, correct_covariates)
     rs = RiskStructure.grid(GRID_TIMES, n_large, visit)
     z_visit = design[:, rs.visit_rows].T.astype(np.float64)
@@ -295,6 +304,8 @@ def complete_data_fit(cfg: ScenarioConfig,
     :class:`~irrvis.errors.RankDeficiencyError`.  Returns the coefficient
     vector.
     """
+    _require_n_large(n_large)
+
     def blocks():
         # binds no draws, so block c's are freed while block c + 1 is drawn
         for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
@@ -397,6 +408,7 @@ def _resolve_threads(threads: Optional[int]) -> int:
                 raise ValidationError(f"IRRVIS_THREADS is not an integer: {env!r}")
         else:
             threads = os.cpu_count() or 1
+    _require_integers("run_study", threads=threads)
     if threads < 1:
         raise ValidationError("thread count must be at least 1")
     return threads

@@ -188,13 +188,6 @@ class _BalanceSystem:
         return -objective, -self.residual(w), jacobian
 
 
-def _balance_system(dataset: Dataset, hspec: ModelMatrixSpec, q_arr: np.ndarray,
-                    breslow) -> _BalanceSystem:
-    rs = RiskStructure(dataset)
-    h_cover, h_visit = rs.design(BoundDesign(dataset, hspec), dataset)
-    return _BalanceSystem(rs, h_cover, h_visit, q_arr, breslow)
-
-
 def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec],
                       q: QValues, breslow) -> WeightSet:
     """Solve the balance conditions and return the implied visit weights.
@@ -216,7 +209,9 @@ def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec
     if isinstance(spec, ModelMatrixSpec):
         spec = BalanceSpec(hspec=spec)
     q_arr = q.check(int(dataset.visit.sum()))
-    system = _balance_system(dataset, spec.hspec, q_arr, breslow)
+    rs = RiskStructure(dataset)
+    h_cover, h_visit = rs.design(BoundDesign(dataset, spec.hspec), dataset)
+    system = _BalanceSystem(rs, h_cover, h_visit, q_arr, breslow)
     return _balance(system, spec.hspec, q.phi)
 
 

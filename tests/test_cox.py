@@ -150,8 +150,8 @@ def test_block_event_sums_match_loops(monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000),
-       draw=st.lists(st.integers(0, 20), min_size=2, max_size=8))
-def test_kernel_matches_oracle_on_panels_and_resamples(seed, draw):
+       copies=st.lists(st.integers(0, 2), min_size=7, max_size=7).filter(any))
+def test_kernel_matches_oracle_on_panels_and_resamples(seed, copies):
     ds = kernel_panel(seed)
     rng = np.random.default_rng(seed + 1)
     gamma = rng.uniform(-0.8, 0.8, len(KERNEL_TERMS))
@@ -167,16 +167,18 @@ def test_kernel_matches_oracle_on_panels_and_resamples(seed, draw):
             pl = _PartialLikelihood(rs, z_cover, z_visit, q)
         assert_kernel_matches_oracle(pl, ds, gamma, q)
 
-    # a draw of patients with repeats, through RiskStructure.subset and the
-    # full design's rows, against the oracle on the drawn dataset
-    draw = [i % ds.n_patients for i in draw]
+    # 0, 1 or 2 copies of each patient, through RiskStructure.subset and
+    # the full design's rows, against the oracle on the drawn dataset
+    copies = np.asarray(copies[:ds.n_patients])
+    draw = np.repeat(np.arange(ds.n_patients), copies)
+    if not draw.size:
+        return
     sub = ds.take_patients(draw)
     if not sub.visit.any():
         return
-    bounds = ds.patient_row_bounds
-    visits = drawn_positions(rs.visit_rows, bounds, draw)
-    got, kept = rs.subset(drawn_positions(rs.cover_row, bounds, draw), visits,
-                          len(draw))
+    visits = drawn_positions(rs.visit_rows, ds.patient_row_bounds, draw)
+    got, kept = rs.subset(copies[ds.patient_index[rs.cover_row]], visits,
+                          draw.size)
     q_sub = q[visits]
     pl = _PartialLikelihood(got, z_cover[kept], z_visit[visits], q_sub)
     assert_kernel_matches_oracle(pl, sub, gamma, q_sub)

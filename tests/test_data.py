@@ -562,3 +562,21 @@ def test_take_patients_validates_indices():
         ds.take_patients([2])
     with pytest.raises(ValidationError, match="no patients"):
         ds.take_patients([])
+    with pytest.raises(ValidationError, match="no patients"):
+        ds.take_patients(np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize("indices", [[0.7, 1.2], [0.0, 1.0], np.array([True, False]),
+                                     ["0", "1"]])
+def test_take_patients_rejects_non_integer_indices(indices):
+    # a float would be truncated and a mask read as the indices 1 and 0
+    ds = two_patient_dataset()
+    with pytest.raises(ValidationError, match="patient indices must be integers"):
+        ds.take_patients(indices)
+
+
+def test_take_patients_accepts_numpy_integers():
+    ds = two_patient_dataset()
+    for dtype in (np.int32, np.uint8, np.int64):
+        sub = ds.take_patients(np.array([1, 0, 1], dtype=dtype))
+        assert np.array_equal(sub.start, ds.take_patients([1, 0, 1]).start)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_rows, random_panel
+from helpers import drawn_positions, grid_rows, random_panel
 from irrvis import (AnalysisConfig, BalanceSpec, Dataset, IrrvisError,
                     MarginalModelSpec, ModelMatrixSpec, NumericError,
                     PipelineError, Resampling,
@@ -232,7 +232,7 @@ def test_bootstrap_matches_manual_replication():
     res = bootstrap(ds, cfg, 0.0, b=16, seed=9)
     betas = []
     for r in range(16):
-        idx = substream(9, r).integers(0, 8, size=8)
+        idx = np.sort(substream(9, r).integers(0, 8, size=8))
         betas.append(fit_weighted_gee(ds.take_patients(idx), IDENT,
                                       weights=None).beta)
     est = np.asarray(betas)
@@ -445,15 +445,19 @@ PARITY_CONFIGS = {
 
 
 def resample(prepared, patients, phi, start=None):
-    """``analyze_once`` on ``take_patients(patients)``, from the prepared data."""
-    return _ResampleStages(prepared, patients).analyze(phi, start)
+    """``analyze_once`` on ``take_patients(np.sort(patients))``, from the
+    prepared data: the resample of each patient's copies in ``patients``."""
+    copies = np.bincount(patients, minlength=prepared.dataset.n_patients)
+    return _ResampleStages(prepared, copies).analyze(phi, start)
 
 
 def same_pass(prepared, ds, cfg, patients, phi):
     """The prepared resample reproduces ``analyze_once`` on
-    ``take_patients`` bit for bit, or fails the same way; True on success."""
+    ``take_patients(np.sort(patients))`` bit for bit, or fails the same
+    way; True on success."""
     try:
-        want_fit, want_w = analyze_once(ds.take_patients(patients), cfg, phi)
+        want_fit, want_w = analyze_once(ds.take_patients(np.sort(patients)),
+                                        cfg, phi)
     except IrrvisError as exc:
         with pytest.raises(IrrvisError) as err:
             resample(prepared, patients, phi)
@@ -743,6 +747,32 @@ def test_identity_take_patients_is_bit_identical(seed, which, phi):
     assert np.array_equal(fit.beta, want_fit.beta)
     if want_w is not None:
         assert np.array_equal(w.weights, want_w.weights)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), which=st.integers(0, 2),
+       phi=st.sampled_from([0.0, 0.3]), order=st.permutations(range(6)))
+def test_patient_order_leaves_estimates_unchanged(seed, which, phi, order):
+    # resamples are fitted with their patients in ascending order, which
+    # stands for any order: only rounding moves the estimates, at most
+    # 4.3e-15 (relative to max(1, |beta|)) and 3.2e-15 relative in the
+    # weights over 400 seeds
+    ds = random_panel(seed, n_patients=6, p_visit=0.6)
+    cfg = INVARIANCE_CONFIGS[which]
+    moved = ds.take_patients(order)
+    try:
+        want_fit, want_w = analyze_once(ds, cfg, phi)
+    except NumericError as exc:
+        with pytest.raises(type(exc)):
+            analyze_once(moved, cfg, phi)
+        return
+    fit, w = analyze_once(moved, cfg, phi)
+    tol = 1e-12 * np.maximum(1.0, np.abs(want_fit.beta))
+    assert np.all(np.abs(fit.beta - want_fit.beta) <= tol)
+    if want_w is not None:
+        # visit rows come patient by patient, in the new order
+        pos = drawn_positions(ds.visit_row_indices(), ds.patient_row_bounds, order)
+        assert np.allclose(w.weights, want_w.weights[pos], rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=15, deadline=None)

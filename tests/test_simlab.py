@@ -266,6 +266,36 @@ def test_config_rejects_non_integer_counts(field, value):
         cont_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("key", ["gamma_z", "phi_true"])
+@pytest.mark.parametrize("value", ["1", None, True])
+def test_config_rejects_a_non_number(key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be finite and real"):
+        cont_cfg(**{key: value})
+
+
+def test_config_accepts_numpy_floats():
+    cfg = cont_cfg(gamma_z=np.float32(0.5), phi_true=np.int64(0))
+    assert cfg.gamma_z == 0.5 and cfg.phi_true == 0
+
+
+@pytest.mark.parametrize("n_large", [2.5, 4000.0, True, "10"])
+def test_large_fits_reject_a_non_integer_size(n_large):
+    cfg = cont_cfg()
+    with pytest.raises(ValidationError, match="n_large must be an integer"):
+        limiting_phi(cfg, n_large)
+    with pytest.raises(ValidationError, match="n_large must be an integer"):
+        complete_data_fit(cfg, n_large)
+
+
+@pytest.mark.parametrize("n_large", [0, -3, -5])
+def test_large_fits_need_a_patient(n_large):
+    cfg = cont_cfg()
+    with pytest.raises(ValidationError, match="n_large must be at least 1"):
+        limiting_phi(cfg, n_large)
+    with pytest.raises(ValidationError, match="n_large must be at least 1"):
+        complete_data_fit(cfg, n_large)
+
+
 def test_config_accepts_numpy_integers():
     cfg = cont_cfg(n=np.int64(100), n_reps=np.int32(2), seed=np.uint8(0))
     assert cfg.n == 100 and cfg.n_reps == 2 and cfg.seed == 0
@@ -277,6 +307,9 @@ def test_run_study_validation(monkeypatch):
         run_study(cfg, threads=1, estimators=("naive", "oracle"))
     with pytest.raises(ValidationError, match="at least 1"):
         run_study(cfg, threads=0)
+    for threads in (1.5, 2.0, True, "2"):
+        with pytest.raises(ValidationError, match="threads must be an integer"):
+            run_study(cfg, threads=threads)
     monkeypatch.setenv("IRRVIS_THREADS", "two")
     with pytest.raises(ValidationError, match="IRRVIS_THREADS"):
         run_study(cfg, threads=None)
