@@ -19,6 +19,8 @@ so that no step raises the max-norm of the equations.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,9 +52,12 @@ class MarginalModelSpec:
         if self.variance not in _VARIANCES:
             raise ValidationError(f"variance must be one of {_VARIANCES}")
         if self.variance == "negative_binomial":
-            if self.theta is None or not self.theta >= 0.0:
+            theta = self.theta
+            if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+                    or not 0.0 <= theta < math.inf):
                 raise ValidationError(
-                    "negative_binomial variance needs a dispersion theta >= 0")
+                    "negative_binomial variance needs a finite dispersion "
+                    f"theta >= 0, got {theta!r}")
         elif self.theta is not None:
             raise ValidationError("theta only applies to negative_binomial variance")
 

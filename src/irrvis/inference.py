@@ -40,6 +40,7 @@ stopped it; the command line writes its per-phi files from these.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -106,6 +107,10 @@ class AnalysisConfig:
             raise ValidationError("weighted analysis needs visit-model terms")
         if self.weight_kind == "balancing" and self.hspec is None:
             raise ValidationError("balancing weights need balance terms")
+        for p in self.phi_grid:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValidationError(
+                    f"phi grid values must be real numbers, got {p!r}")
         grid = tuple(float(p) for p in self.phi_grid)
         if not grid:
             raise ValidationError("phi grid must be non-empty")

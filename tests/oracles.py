@@ -233,6 +233,32 @@ def nls_log(x, y, w):
     return res.x
 
 
+# -- simulation lab --------------------------------------------------------
+
+
+def draw_panel(cfg, rng, n):
+    """The simulation lab's per-patient-by-grid draws, one expression per
+    formula: x, z1, z2, y, S(y), visit, z1s, z2s."""
+    t = np.round(np.arange(1, 501) * 0.01, 2)
+    x = (rng.random(n) < 0.5).astype(np.float64)[:, None]
+    z1 = rng.normal(-x, 1.0, (n, 500))
+    z2 = rng.normal(-x, 1.0, (n, 500))
+    if cfg.outcome == "continuous":
+        eps = rng.normal(0.0, 0.5, (n, 500))
+        y = 5.0 + z1 + z2 - 0.5 * z1 * z2 - 2.0 * x - 0.5 * t + eps
+        s_y = y
+    else:
+        mu = np.exp(1.69 + z1 + z2 - 0.5 * z1 * z2 + 0.67 * x - 0.5 * t)
+        lam = rng.gamma(1.0 / 0.5, 0.5 * mu)
+        y = rng.poisson(lam).astype(np.float64)
+        s_y = np.log1p(y)
+    log_pi = (-3.05 - 2.0 * t + cfg.gamma_z * z1 + cfg.gamma_z * z2
+              + 0.5 * z1 * z2 + x + cfg.phi_true * s_y)
+    visit = rng.random((n, 500)) < np.minimum(1.0, np.exp(log_pi))
+    e = rng.normal(0.0, 0.1, (n, 500))
+    return x, z1, z2, y, s_y, visit, z1 - z2, z2 + e
+
+
 # -- CSV boundary ----------------------------------------------------------
 
 STRUCTURAL_COLUMNS = ("patient_id", "start", "end", "at_risk", "visit", "outcome")

@@ -42,6 +42,20 @@ def test_model_spec_validation():
                           theta=-1.0)
 
 
+@pytest.mark.parametrize("theta", ["1", True, float("nan"), float("inf"), -0.5])
+def test_model_spec_rejects_a_bad_dispersion(theta):
+    with pytest.raises(ValidationError, match="finite dispersion theta >= 0"):
+        MarginalModelSpec(ModelMatrixSpec(["1"]), link="log",
+                          variance="negative_binomial", theta=theta)
+
+
+@pytest.mark.parametrize("theta", [0, 0.5, np.float32(2.0), np.int64(1)])
+def test_model_spec_accepts_a_real_dispersion(theta):
+    spec = MarginalModelSpec(ModelMatrixSpec(["1"]), link="log",
+                             variance="negative_binomial", theta=theta)
+    assert spec.theta == theta
+
+
 # -- closed-form cases -------------------------------------------------------
 
 

@@ -83,6 +83,19 @@ def test_config_grid_coerced_to_float_tuple():
     assert all(isinstance(p, float) for p in cfg.phi_grid)
 
 
+@pytest.mark.parametrize("grid", [("0.1",), (True, 2.0), (0.0, None),
+                                  (0.0, complex(1.0, 0.0)), (np.bool_(True),)])
+def test_config_grid_rejects_a_non_number(grid):
+    with pytest.raises(ValidationError, match="phi grid values must be real"):
+        none_config(phi_grid=grid)
+
+
+def test_config_grid_accepts_numpy_numbers():
+    cfg = none_config(phi_grid=(np.int64(-1), np.float32(0.5), np.float64(2.0)))
+    assert cfg.phi_grid == (-1.0, 0.5, 2.0)
+    assert all(type(p) is float for p in cfg.phi_grid)
+
+
 def test_config_builds_balance_from_hspec():
     cfg = AnalysisConfig(model=IDENT, weight_kind="balancing",
                          zspec=ModelMatrixSpec(["z1"]),

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from irrvis import (MetricsTable, RankDeficiencyError, ScenarioConfig,
-                    ValidationError, complete_data_fit, fit_weighted_gee,
-                    generate, limiting_phi, run_study)
-from irrvis.simlab import (GRID_TIMES, TAU, TRUE_BETA, _run_replicate,
-                           _weight_phi)
+import oracles
+from irrvis import (ConvergenceError, Dataset, IrrvisError, MetricsTable,
+                    ModelMatrixSpec, RankDeficiencyError, ScenarioConfig,
+                    SeparationError, ValidationError, balancing_weights,
+                    complete_data_fit, fit_cox, fit_weighted_gee, generate,
+                    limiting_phi, mle_weights, q_values, run_study, simlab)
+from irrvis.rng import substream
+from irrvis.simlab import (GRID_TIMES, TAU, TRUE_BETA, _draw_panel,
+                           _limiting_design, _run_replicate, _weight_phi)
 
 
 def cont_cfg(**kw):
@@ -168,9 +172,22 @@ def test_first_interval_visit_rate_matches_formula():
     assert 0.05 < rate < 0.10
 
 
+LIMITING_SPEC = ModelMatrixSpec(["a", "b", "ab", "x", "sy"])
+
+
+def grid_dataset(design, visit, n):
+    """The limiting fit's time-major draws patient-major, as a general dataset."""
+    cov = design.reshape(5, 500, n).transpose(2, 1, 0).reshape(-1, 5)
+    flags = visit.reshape(500, n).T.ravel()
+    return Dataset(list(range(n)), np.repeat(np.arange(n, dtype=np.int32), 500),
+                   np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
+                   np.tile(GRID_TIMES, n), np.ones(flags.size, dtype=bool), flags,
+                   np.where(flags, 0.0, np.nan), cov.astype(np.float64),
+                   ("a", "b", "ab", "x", "sy"), tau=TAU, validate=False)
+
+
 def test_limiting_fit_matches_general_engine():
-    from irrvis import Dataset, ModelMatrixSpec, cox, fit_cox
-    from irrvis.simlab import _limiting_design
+    from irrvis import cox
 
     cfg = cont_cfg(phi_true=0.3, scenario="s3_SF_correctZ", seed=1, n=400)
     # n = 20 leaves most grid times without a visit.  The block sizes put
@@ -179,15 +196,7 @@ def test_limiting_fit_matches_general_engine():
     for n, min_empty in ((400, 0), (20, 250)):
         design, visit = _limiting_design(cfg, n, correct_covariates=True)
         assert int(np.sum(visit.reshape(500, n).sum(axis=1) == 0)) >= min_empty
-        # the same draws patient-major, as a general dataset
-        cov = design.reshape(5, 500, n).transpose(2, 1, 0).reshape(-1, 5)
-        flags = visit.reshape(500, n).T.ravel()
-        ds = Dataset(list(range(n)), np.repeat(np.arange(n, dtype=np.int32), 500),
-                     np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
-                     np.tile(GRID_TIMES, n), np.ones(flags.size, dtype=bool), flags,
-                     np.where(flags, 0.0, np.nan), cov.astype(np.float64),
-                     ("a", "b", "ab", "x", "sy"), tau=TAU, validate=False)
-        ref = fit_cox(ds, ModelMatrixSpec(["a", "b", "ab", "x", "sy"]))
+        ref = fit_cox(grid_dataset(design, visit, n), LIMITING_SPEC)
         for block in (1 << 15, 3500, 1501, 400, 97, 7):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cox, "_BLOCK_PAIRS", block)
@@ -223,6 +232,111 @@ def test_limiting_phi_deterministic_and_near_truth():
     est = limiting_phi(cfg, n_large=8000, correct_covariates=True)
     assert abs(est - 0.3) < 0.12
     assert limiting_phi(cfg, n_large=8000, correct_covariates=True) == est
+
+
+@pytest.mark.parametrize("outcome, correct", [("continuous", True), ("count", False)])
+def test_pilot_started_limiting_fit_matches_general_engine(monkeypatch, outcome,
+                                                           correct):
+    cfg = cont_cfg(outcome=outcome, gamma_z=1.25, phi_true=0.3,
+                   scenario="s4_SF_transformedZ", seed=1)
+    n = 400
+    ref = fit_cox(grid_dataset(*_limiting_design(cfg, n, correct), n), LIMITING_SPEC)
+    fits = []
+    grid_fit = simlab._grid_fit
+
+    def spy(design, visit, m, start=None):
+        fits.append((m, start is None))
+        return grid_fit(design, visit, m, start)
+
+    monkeypatch.setattr(simlab, "_grid_fit", spy)
+    monkeypatch.setattr(simlab, "_PILOT_PATIENTS", 40)
+    phi = limiting_phi(cfg, n, correct_covariates=correct)
+    assert fits == [(40, True), (400, False)]
+    assert abs(phi - ref.gamma[-1]) <= 1e-7
+
+
+@pytest.mark.parametrize("failing, error", [("pilot", ConvergenceError),
+                                            ("pilot", ValidationError),
+                                            ("started fit", SeparationError)])
+def test_a_failed_pilot_leaves_the_fit_from_zero(monkeypatch, failing, error):
+    cfg = cont_cfg(gamma_z=1.25, phi_true=0.3, scenario="s4_SF_transformedZ",
+                   seed=3)
+    n = 300
+    cold = limiting_phi(cfg, n)          # n < 10 * _PILOT_PATIENTS: no pilot
+    fits = []
+    grid_fit = simlab._grid_fit
+
+    def failing_fit(design, visit, m, start=None):
+        fits.append((m, start is None))
+        if (m < n) if failing == "pilot" else (start is not None):
+            raise error("injected failure")
+        return grid_fit(design, visit, m, start)
+
+    monkeypatch.setattr(simlab, "_grid_fit", failing_fit)
+    monkeypatch.setattr(simlab, "_PILOT_PATIENTS", 30)
+    assert limiting_phi(cfg, n) == cold
+    assert fits[-1] == (n, True) and len(fits) == (2 if failing == "pilot" else 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(outcome=st.sampled_from(["continuous", "count"]),
+       gamma_z=st.floats(-2.0, 2.0), phi_true=st.floats(-0.5, 0.5),
+       seed=st.integers(0, 2 ** 16), n=st.integers(1, 12))
+def test_draw_panel_equals_reference_formulas(outcome, gamma_z, phi_true, seed, n):
+    cfg = cont_cfg(outcome=outcome, gamma_z=gamma_z, phi_true=phi_true)
+    got = _draw_panel(cfg, substream(seed, 5), n)
+    want = oracles.draw_panel(cfg, substream(seed, 5), n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def public_replicate(cfg, rep, phi_w):
+    """What :func:`_run_replicate` gives for the three observed-data
+    estimators, through the public functions on ``generate``'s dataset."""
+    observed, _ = generate(cfg, rep)
+    model = cfg.marginal_model()
+
+    def coef(weights=None):
+        try:
+            fit = fit_weighted_gee(observed, model, weights)
+        except IrrvisError:
+            return None
+        return (float(fit.beta[1]), float(fit.beta[2]))
+
+    out = {"naive": coef()}
+    try:
+        q = q_values(observed, cfg.selection(), phi_w)
+        cox = fit_cox(observed, ModelMatrixSpec(cfg.weight_covariates()), q)
+    except IrrvisError:
+        return {**out, "mle": None, "balancing": None}, None
+    try:
+        out["mle"] = coef(mle_weights(cox, observed, q))
+    except IrrvisError:
+        out["mle"] = None
+    try:
+        bal = balancing_weights(observed, ModelMatrixSpec(cfg.balance_terms()), q, cox)
+    except IrrvisError:
+        return {**out, "balancing": None}, None
+    out["balancing"] = coef(bal)
+    return out, bal.max_abs_residual
+
+
+@pytest.mark.parametrize("outcome", ["continuous", "count"])
+@pytest.mark.parametrize("scenario", ["s3_SF_correctZ", "s4_SF_transformedZ"])
+def test_replicate_equals_the_public_pipeline(outcome, scenario):
+    # n = 3 fails every stage on some replicates: the visit model, each
+    # kind of weights and the marginal fits
+    failed = set()
+    for n, reps in ((3, range(8)), (60, range(2))):
+        cfg = cont_cfg(outcome=outcome, gamma_z=1.25, phi_true=0.3, n=n,
+                       scenario=scenario, seed=1)
+        for rep in reps:
+            got = _run_replicate(cfg, rep, 0.3, ("naive", "mle", "balancing"))
+            want = public_replicate(cfg, rep, 0.3)
+            assert got == want
+            failed.update(k for k, v in got[0].items() if v is None)
+    assert failed == {"naive", "mle", "balancing"}
 
 
 def test_run_study_is_thread_invariant():
