@@ -7,7 +7,9 @@ event in dataset row order.  The pairs of one event are then a contiguous
 segment; sums over risk sets are ``numpy.add.reduceat`` over the segment
 starts of per-pair rows, in ranges of bounded size (``blocks``) and in a
 fixed order, so results are reproducible.  The ``grid`` form, where every
-patient is at risk at each of fixed times, keeps its pairs implicit.
+patient is at risk at each of fixed times, keeps its pairs implicit; the
+``complete_grid`` form builds the explicit pairs of such a panel, stored
+patient-major as a dataset, in closed form.
 
 For an empty segment ``reduceat`` returns the element at its start, not
 zero, so every event must have at least one pair.  Validated data
@@ -88,6 +90,27 @@ class RiskStructure:
         out.n, out.event_times, out.K = int(n), times, len(times)
         out.event_counts, out.event_starts = np.full(out.K, n), np.arange(out.K) * n
         out.visit_rows, out.visit_event = visit_rows, visit_rows // n
+        return out
+
+    @classmethod
+    def complete_grid(cls, times: np.ndarray, visit: np.ndarray):
+        """The structure of a panel whose ``n`` patients are each at risk on
+        every interval ``(times[k - 1], times[k]]``, patient ``i``'s row ``k``
+        being dataset row ``i * len(times) + k``, with visit flags ``visit``
+        of shape ``(n, len(times))``.  Equals :class:`RiskStructure` of that
+        dataset, array for array, without searching or sorting its rows."""
+        n, width = visit.shape
+        visited = visit.any(axis=0)
+        kk = np.flatnonzero(visited)
+        if kk.size == 0:
+            raise ValidationError("dataset has no visits")
+        out = object.__new__(cls)
+        out.n, out.event_times, out.K = int(n), times[kk], int(kk.size)
+        out.cover_row = (kk[:, None] + width * np.arange(n)).ravel()
+        out.cover_event = np.repeat(np.arange(out.K), n)
+        out.visit_rows = np.flatnonzero(visit)
+        out.visit_event = (np.cumsum(visited) - 1)[out.visit_rows % width]
+        out._index_events()
         return out
 
     def _index_events(self) -> None:

@@ -7,6 +7,13 @@ with fitted weights, inverse-intensity with balancing weights) over
 replicated datasets; and scores bias, SD and RMSE against the known
 marginal coefficients.
 
+Every simulated patient is at risk on every grid interval, so a
+replicate's :class:`~irrvis.riskset.RiskStructure` is built in closed form
+from its visit grid rather than by searching the dataset's rows.  A draw
+skips the transformed covariates wherever nothing reads them: in the
+``correctZ`` cells' replicates, in :func:`complete_data_fit` and in
+:func:`limiting_phi` with the correct covariates.
+
 The complete-data estimator sees the outcome at every grid time.  Its
 marginal design (1, X, t) has only 2 * N_GRID distinct rows, so both the
 per-replicate estimator and the large :func:`complete_data_fit` are fit
@@ -141,8 +148,10 @@ class ScenarioConfig:
         return MarginalModelSpec(xspec, link="log", variance="poisson")
 
 
-def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int):
-    """Raw per-patient-by-grid draws: x, z1, z2, y, s_y, visit, z1s, z2s.
+def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int,
+                transformed: bool = True):
+    """Raw per-patient-by-grid draws: x, z1, z2, y, s_y, visit, then z1s and
+    z2s where ``transformed``.
 
     With ``t`` the grid times, ``y = 5 + z1 + z2 - z1 z2 / 2 - 2x - t/2 + eps``
     for a continuous outcome, and a gamma-Poisson count with mean
@@ -153,11 +162,21 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int):
     the draws equal those of one-expression formulas bit for bit while a
     draw holds at most five ``(n, N_GRID)`` float arrays at once for a
     continuous outcome and six for a count, counting those it returns.
+
+    ``z ~ N(-x, 1)`` is drawn as a standard normal less ``x``, and the gamma
+    rate as a standard gamma times its scale: numpy's ``normal`` and
+    ``gamma`` compute ``-x + 1.0 * z`` and ``scale * g`` from the same
+    stream, which are the same floats.  The transformed covariates' noise
+    is the last draw, so leaving them out (``transformed=False``, for the
+    callers that read only z1, z2, x, y and the visits) changes no other
+    draw; the draw then returns six arrays, not eight.
     """
     t = GRID_TIMES
     x = (rng.random(n) < 0.5).astype(np.float64)[:, None]
-    z1 = rng.normal(-x, 1.0, (n, N_GRID))
-    z2 = rng.normal(-x, 1.0, (n, N_GRID))
+    z1 = rng.standard_normal((n, N_GRID))
+    z1 -= x
+    z2 = rng.standard_normal((n, N_GRID))
+    z2 -= x
     term = np.multiply(z1, 0.5)                              # z1 z2 / 2
     term *= z2
     if cfg.outcome == "continuous":
@@ -177,7 +196,8 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int):
         y -= 0.5 * t
         np.exp(y, out=y)
         y *= 0.5
-        s_y = rng.gamma(1.0 / 0.5, y)                        # lam, then S(y)
+        s_y = rng.standard_gamma(1.0 / 0.5, y.shape)         # lam, then S(y)
+        s_y *= y
         y[...] = rng.poisson(s_y)
         np.log1p(y, out=s_y)
         log_pi, term = term, np.empty_like(term)
@@ -195,6 +215,8 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int):
     np.minimum(pi, 1.0, out=pi)
     visit = rng.random((n, N_GRID), out=term) < pi
     del log_pi, pi
+    if not transformed:
+        return x, z1, z2, y, s_y, visit
     z2s = rng.normal(0.0, 0.1, (n, N_GRID))                  # e, then z2 + e
     z2s += z2
     z1s = np.subtract(z1, z2, out=term)
@@ -204,30 +226,31 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int):
 _COV_NAMES = ("z1", "z2", "x", "z1s", "z2s")
 
 
-def _panel_dataset(x, z1, z2, z1s, z2s, y, visit) -> Dataset:
+def _panel_dataset(x, z1, z2, y, visit, *transformed) -> Dataset:
+    """The dataset of :func:`_draw_panel`'s draws: covariates z1, z2, x and,
+    where given, the transformed ``(z1s, z2s)``."""
     n = x.shape[0]
     rows = n * N_GRID
     pidx = np.repeat(np.arange(n, dtype=np.int32), N_GRID)
     start = np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n)
     end = np.tile(GRID_TIMES, n)
-    cov = np.empty((rows, len(_COV_NAMES)), order="F")
-    cov[:, 0] = z1.ravel()
-    cov[:, 1] = z2.ravel()
-    cov[:, 2] = np.repeat(x[:, 0], N_GRID)
-    cov[:, 3] = z1s.ravel()
-    cov[:, 4] = z2s.ravel()
+    columns = (z1, z2, x, *transformed)
+    cov = np.empty((rows, len(columns)), order="F")
+    for j, values in enumerate(columns):
+        cov[:, j].reshape(n, N_GRID)[...] = values      # x is broadcast
     v = visit.ravel()
     outcome = np.where(v, y.ravel(), np.nan)
     return Dataset(list(range(n)), pidx, start, end,
-                   np.ones(rows, dtype=bool), v, outcome, cov, _COV_NAMES,
-                   tau=TAU, validate=False)
+                   np.ones(rows, dtype=bool), v, outcome, cov,
+                   _COV_NAMES[:len(columns)], tau=TAU, validate=False)
 
 
-def _replicate(cfg: ScenarioConfig, rep: int):
-    """Replicate ``rep``'s draws and the observed dataset built from them."""
-    draws = _draw_panel(cfg, substream(cfg.seed, rep), cfg.n)
-    x, z1, z2, y, s_y, visit, z1s, z2s = draws
-    return draws, _panel_dataset(x, z1, z2, z1s, z2s, y, visit)
+def _replicate(cfg: ScenarioConfig, rep: int, transformed: bool = True):
+    """Replicate ``rep``'s draws and the observed dataset built from them,
+    with the transformed covariates where ``transformed``."""
+    draws = _draw_panel(cfg, substream(cfg.seed, rep), cfg.n, transformed)
+    x, z1, z2, y, _, visit, *zs = draws
+    return draws, _panel_dataset(x, z1, z2, y, visit, *zs)
 
 
 def generate(cfg: ScenarioConfig, rep: int):
@@ -239,8 +262,8 @@ def generate(cfg: ScenarioConfig, rep: int):
     uses; the study itself builds only the observed dataset and fits the
     complete-data estimator from per-(X, t) cell sums of the same draws.
     """
-    (x, z1, z2, y, _, visit, z1s, z2s), observed = _replicate(cfg, rep)
-    complete = _panel_dataset(x, z1, z2, z1s, z2s, y, np.ones_like(visit))
+    (x, z1, z2, y, _, visit, *zs), observed = _replicate(cfg, rep)
+    complete = _panel_dataset(x, z1, z2, y, np.ones_like(visit), *zs)
     return observed, complete
 
 
@@ -267,8 +290,8 @@ def _limiting_design(cfg: ScenarioConfig, n_large: int,
     design = np.empty((5, N_GRID, n_large), dtype=np.float32)
     visit = np.empty((N_GRID, n_large), dtype=bool)
 
-    def write(lo, x, z1, z2, y, s_y, v, z1s, z2s):
-        a, b = (z1, z2) if correct_covariates else (z1s, z2s)
+    def write(lo, x, z1, z2, y, s_y, v, *transformed):
+        a, b = transformed or (z1, z2)
         cols = slice(lo, lo + len(x))
         design[0, :, cols], design[1, :, cols] = a.T, b.T
         a *= b                                      # a is written; reuse it
@@ -278,7 +301,8 @@ def _limiting_design(cfg: ScenarioConfig, n_large: int,
 
     for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
         rng = substream(cfg.seed, _LIMITING_STREAM_BASE + c)
-        write(lo, *_draw_panel(cfg, rng, min(_DRAW_BLOCK, n_large - lo)))
+        write(lo, *_draw_panel(cfg, rng, min(_DRAW_BLOCK, n_large - lo),
+                               transformed=not correct_covariates))
     return design.reshape(5, -1), visit.ravel()
 
 
@@ -397,7 +421,7 @@ def complete_data_fit(cfg: ScenarioConfig,
         for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
             yield itemgetter(0, 3)(_draw_panel(  # x, y
                 cfg, substream(cfg.seed, _TRUTH_STREAM_BASE + c),
-                min(_DRAW_BLOCK, n_large - lo)))
+                min(_DRAW_BLOCK, n_large - lo), transformed=False))
 
     return _cell_fit(blocks(), cfg.marginal_model()).beta
 
@@ -443,9 +467,14 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
     observed dataset gives, bit for bit, but the dataset's
     :class:`RiskStructure` and its weight-covariate design are built once
     and shared by the visit model and both kinds of weights, through the
-    fitting cores those functions call.
+    fitting cores those functions call.  The structure is built in closed
+    form from the visit grid (:meth:`RiskStructure.complete_grid`), as every
+    simulated patient is at risk on every grid interval.  In the
+    ``correctZ`` cells nothing reads the transformed covariates, so they
+    are not drawn and the dataset carries z1, z2 and x only.
     """
-    (x, _, _, y, *_), observed = _replicate(cfg, rep)
+    transformed = "z1s" in cfg.weight_covariates()
+    (x, _, _, y, _, visit, *_), observed = _replicate(cfg, rep, transformed)
     model = cfg.marginal_model()
     out: dict = {}
     residual = None
@@ -470,7 +499,7 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
             q = q_values(observed, cfg.selection(), phi_w)
             zspec = ModelMatrixSpec(cfg.weight_covariates())
             bound = BoundDesign(observed, zspec)
-            rs = RiskStructure(observed)
+            rs = RiskStructure.complete_grid(GRID_TIMES, visit)
             z_cover, z_visit = rs.design(bound, observed)
             cox = _fit_intensity(rs, z_cover, z_visit, zspec, q.values)
         except IrrvisError:
@@ -519,13 +548,24 @@ def run_study(cfg: ScenarioConfig, threads: Optional[int] = None,
     Replicates are independent (stream-keyed by replicate index) and may
     run in parallel; aggregation orders by replicate index, so the result
     is a pure function of ``cfg`` whatever the thread count.  Each
-    replicate draws the panel of :func:`generate` once and builds only its
+    replicate draws the panel of :func:`generate` once, without the
+    transformed covariates in the ``correctZ`` cells, and builds only its
     observed dataset; the complete-data estimator is fit from per-(X, t)
     cell sums of the same draws, not from the complete companion.
+    ``estimators`` is a non-empty sequence of distinct names from
+    :data:`ESTIMATORS`, checked before anything is drawn.
     """
+    if isinstance(estimators, str):
+        raise ValidationError(f"estimators must be a sequence of names, "
+                              f"got the string {estimators!r}")
+    estimators = tuple(estimators)
+    if not estimators:
+        raise ValidationError("estimators must name at least one estimator")
     for e in estimators:
         if e not in ESTIMATORS:
-            raise ValidationError(f"unknown estimator {e!r}")
+            raise ValidationError(f"estimators: unknown estimator {e!r}")
+    if len(set(estimators)) < len(estimators):
+        raise ValidationError(f"estimators has duplicates: {estimators}")
     threads = _resolve_threads(threads)
     phi_w = _weight_phi(cfg)
     reps = range(cfg.n_reps)
@@ -536,7 +576,7 @@ def run_study(cfg: ScenarioConfig, threads: Optional[int] = None,
             chunk = max(1, cfg.n_reps // (threads * 4))
             results = list(pool.map(_run_replicate, [cfg] * cfg.n_reps, reps,
                                     [phi_w] * cfg.n_reps,
-                                    [tuple(estimators)] * cfg.n_reps,
+                                    [estimators] * cfg.n_reps,
                                     chunksize=chunk))
 
     truth = np.array(TRUE_BETA[cfg.outcome])

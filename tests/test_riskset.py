@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import drawn_positions, grid_rows, random_panel, two_patient_dataset
-from irrvis import Dataset, NumericError, ValidationError
+from irrvis import Dataset, NumericError, ScenarioConfig, ValidationError
 from irrvis.riskset import RiskStructure
+from irrvis.rng import substream
+from irrvis.simlab import GRID_TIMES, _draw_panel, _panel_dataset
 
 
 def brute_force_pairs(ds):
@@ -140,6 +142,52 @@ def test_grid_form_numbers_pairs_time_major():
         (0, 8, 0, 2), (8, 12, 2, 3)]
     with pytest.raises(ValidationError, match="no visits"):
         RiskStructure.grid(np.array([1.0, 2.0, 3.0]), 4, np.zeros(12, dtype=bool))
+
+
+STRUCTURE_ARRAYS = ("event_times", "cover_row", "cover_event", "event_counts",
+                    "event_starts", "visit_rows", "visit_event")
+
+
+def panel_draws(outcome, seed, rep, n):
+    """``generate``'s draws for ``n`` patients as ``_panel_dataset`` takes
+    them, drawn directly, as ``ScenarioConfig`` takes at least two."""
+    cfg = ScenarioConfig(outcome=outcome, gamma_z=0.5, phi_true=0.3, n=2,
+                         scenario="s3_SF_correctZ", seed=seed)
+    x, z1, z2, y, _, visit, *zs = _draw_panel(cfg, substream(seed, rep), n)
+    return x, z1, z2, y, visit, *zs
+
+
+@settings(max_examples=40, deadline=None)
+@given(outcome=st.sampled_from(["continuous", "count"]),
+       seed=st.integers(0, 2 ** 16), rep=st.integers(0, 7), n=st.integers(1, 40))
+def test_complete_grid_form_equals_the_structure_of_a_simulated_panel(
+        outcome, seed, rep, n):
+    # a few patients leave many of the 500 grid times without a visit
+    draws = panel_draws(outcome, seed, rep, n)
+    visit = draws[4]
+    if not visit.any():
+        with pytest.raises(ValidationError, match="no visits"):
+            RiskStructure.complete_grid(GRID_TIMES, visit)
+        return
+    want = RiskStructure(_panel_dataset(*draws))
+    got = RiskStructure.complete_grid(GRID_TIMES, visit)
+    assert (got.n, got.K) == (want.n, want.K)
+    assert type(got.n) is type(want.n) and type(got.K) is type(want.K)
+    for name in STRUCTURE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert want.K < len(GRID_TIMES)
+
+
+def test_complete_grid_form_rejects_a_panel_without_visits():
+    x, z1, z2, y, visit, *zs = panel_draws("count", 1, 0, 3)
+    none = np.zeros_like(visit)
+    with pytest.raises(ValidationError) as general:
+        RiskStructure(_panel_dataset(x, z1, z2, y, none, *zs))
+    with pytest.raises(ValidationError) as closed:
+        RiskStructure.complete_grid(GRID_TIMES, none)
+    assert str(closed.value) == str(general.value) == "dataset has no visits"
 
 
 def test_cover_times_expand_event_axis():

@@ -291,6 +291,45 @@ def test_draw_panel_equals_reference_formulas(outcome, gamma_z, phi_true, seed, 
         assert a.tobytes() == b.tobytes()
 
 
+@settings(max_examples=15, deadline=None)
+@given(outcome=st.sampled_from(["continuous", "count"]),
+       gamma_z=st.floats(-2.0, 2.0), phi_true=st.floats(-0.5, 0.5),
+       seed=st.integers(0, 2 ** 16), n=st.integers(1, 12))
+def test_draw_without_transformed_covariates_is_the_full_draw_less_them(
+        outcome, gamma_z, phi_true, seed, n):
+    cfg = cont_cfg(outcome=outcome, gamma_z=gamma_z, phi_true=phi_true)
+    full = _draw_panel(cfg, substream(seed, 5), n)
+    part = _draw_panel(cfg, substream(seed, 5), n, transformed=False)
+    assert (len(full), len(part)) == (8, 6)
+    for a, b in zip(part, full):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_correct_covariates_are_drawn_without_the_transformed(monkeypatch):
+    # the correctZ weight models, the complete-data fit and the limiting
+    # fit on the correct covariates read no transformed covariate
+    requested = []
+    draw = simlab._draw_panel
+
+    def spy(cfg, rng, n, transformed=True):
+        requested.append(transformed)
+        return draw(cfg, rng, n, transformed)
+
+    monkeypatch.setattr(simlab, "_draw_panel", spy)
+    for scenario in ("s1_noSF_correctZ", "s3_SF_correctZ"):
+        run_study(cont_cfg(n=30, n_reps=2, phi_true=0.3, scenario=scenario),
+                  threads=1)
+    complete_data_fit(cont_cfg(), n_large=50)
+    limiting_phi(cont_cfg(phi_true=0.3), n_large=50, correct_covariates=True)
+    assert requested == [False] * 6
+    run_study(cont_cfg(n=30, n_reps=1, scenario="s2_noSF_transformedZ"),
+              threads=1, estimators=("naive",))
+    limiting_phi(cont_cfg(phi_true=0.3), n_large=50)
+    generate(cont_cfg(n=5), 0)
+    assert requested == [False] * 6 + [True] * 3
+
+
 def public_replicate(cfg, rep, phi_w):
     """What :func:`_run_replicate` gives for the three observed-data
     estimators, through the public functions on ``generate``'s dataset."""
@@ -328,7 +367,10 @@ def test_replicate_equals_the_public_pipeline(outcome, scenario):
     # n = 3 fails every stage on some replicates: the visit model, each
     # kind of weights and the marginal fits
     failed = set()
-    for n, reps in ((3, range(8)), (60, range(2))):
+    cells = [(3, range(8)), (60, range(2))]
+    if outcome == "count" and scenario == "s3_SF_correctZ":
+        cells.append((400, range(1)))    # the benchmark's study cell
+    for n, reps in cells:
         cfg = cont_cfg(outcome=outcome, gamma_z=1.25, phi_true=0.3, n=n,
                        scenario=scenario, seed=1)
         for rep in reps:
@@ -427,6 +469,27 @@ def test_run_study_validation(monkeypatch):
     monkeypatch.setenv("IRRVIS_THREADS", "two")
     with pytest.raises(ValidationError, match="IRRVIS_THREADS"):
         run_study(cfg, threads=None)
+
+
+@pytest.mark.parametrize("estimators, message", [
+    ((), "at least one"), ([], "at least one"),
+    (("naive", "naive"), "duplicates"), (("mle", "naive", "mle"), "duplicates"),
+    ("naive", "the string 'naive'"), (("naive", "oracle"), "unknown estimator")])
+def test_run_study_rejects_bad_estimators_before_drawing(monkeypatch, estimators,
+                                                         message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a panel")
+
+    monkeypatch.setattr(simlab, "_draw_panel", no_draw)
+    with pytest.raises(ValidationError, match=f"estimators.*{message}"):
+        run_study(cont_cfg(n=10, n_reps=2), threads=1, estimators=estimators)
+
+
+def test_run_study_takes_any_iterable_of_estimators():
+    cfg = cont_cfg(n=60, n_reps=2, seed=3)
+    want = run_study(cfg, threads=1, estimators=("naive", "complete"))
+    got = run_study(cfg, threads=1, estimators=iter(["naive", "complete"]))
+    assert got.rows == want.rows
 
 
 def test_metrics_csv_golden(tmp_path):
