@@ -37,7 +37,11 @@ coefficient from a very large one-off fit (:func:`limiting_phi`).
 That fit draws its float32 design (1 GB at the default 100 000 patients)
 in fixed blocks of patients, each from its own substream, and stores it
 grid-time-major: every row is at risk at exactly its own grid time, the
-grid form of :class:`~irrvis.riskset.RiskStructure`.  It is fitted by
+grid form of :class:`~irrvis.riskset.RiskStructure`.  A draw takes z1 and
+z2 whole and everything after them in tiles of a few dozen patients,
+which the limiting fit copies straight into its design; so besides the
+design a block holds three float64 ``(patients, N_GRID)`` arrays: z1, z2
+and the visit probabilities.  It is fitted by
 ``cox._fit``, as :func:`~irrvis.cox.fit_cox` is, which sums in float64
 over blocks of pairs and so needs only a few MB beyond the design.  From
 5 000 patients on, the Newton search starts at a pilot fit of the first
@@ -97,6 +101,9 @@ _TRUTH_STREAM_BASE = 1 << 33
 _DRAW_BLOCK = 4000
 # patients of the pilot fit that starts the limiting fit (see limiting_phi)
 _PILOT_PATIENTS = 500
+# patients per tile of a draw after z1 and z2 (see _draw_panel): a tile of
+# float64 draws is 128 kB, so a tile's buffers stay in cache
+_TILE = 32
 
 
 @dataclass(frozen=True)
@@ -148,8 +155,37 @@ class ScenarioConfig:
         return MarginalModelSpec(xspec, link="log", variance="poisson")
 
 
+class _Arrays:
+    """The :func:`_draw_panel` writer that gathers each quantity's tiles into
+    one whole ``(n, N_GRID)`` array.  ``drawn`` holds them in draw order; an
+    array is made when its first tile comes."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.drawn: dict = {}
+
+    def _put(self, rows: slice, **tiles) -> None:
+        for name, tile in tiles.items():
+            if rows.start == 0:
+                self.drawn[name] = np.empty((self.n, N_GRID), tile.dtype)
+            self.drawn[name][rows] = tile
+
+    def outcome(self, rows, x, z1, z2, y, s_y) -> None:
+        self._put(rows, y=y)
+        if s_y is y:                        # a continuous outcome is its S(y)
+            self.drawn["s_y"] = self.drawn["y"]
+        elif s_y is not None:
+            self._put(rows, s_y=s_y)
+
+    def visit(self, rows, visit) -> None:
+        self._put(rows, visit=visit)
+
+    def transformed(self, rows, z1s, z2s) -> None:
+        self._put(rows, z1s=z1s, z2s=z2s)
+
+
 def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int,
-                transformed: bool = True):
+                transformed: bool = True, write=None, visits: bool = True):
     """Raw per-patient-by-grid draws: x, z1, z2, y, s_y, visit, then z1s and
     z2s where ``transformed``.
 
@@ -158,10 +194,25 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int,
     ``mu = exp(1.69 + z1 + z2 - z1 z2 / 2 + 0.67x - t/2)`` otherwise; the
     visit flag is a Bernoulli draw with the probability of the module
     docstring.  Each formula is summed left to right in place, in the
-    order written, into buffers reused once their values are spent, so
-    the draws equal those of one-expression formulas bit for bit while a
-    draw holds at most five ``(n, N_GRID)`` float arrays at once for a
-    continuous outcome and six for a count, counting those it returns.
+    order written, so the draws equal those of one-expression formulas
+    bit for bit.
+
+    x, z1 and z2 are drawn whole.  Every later draw is taken in stream
+    order in tiles of :data:`_TILE` patients: numpy fills a stream in the
+    same order whether an array is drawn whole or in tiles, so the tiles
+    change no draw.  One pass over the tiles draws the continuous noise,
+    or the Poisson counts after a pass that draws the gamma rates, and
+    computes y, S(y) and the visit probabilities; the next draws the visit
+    uniforms and flags, and the last the transformed covariates.  Only the
+    probabilities (for a count, first the Poisson rates) are held whole
+    between passes, so a draw holds three float64 ``(n, N_GRID)`` arrays,
+    z1, z2 and the probabilities, besides what ``write`` keeps.  ``write`` gets each tile as it is made, by
+    ``write.outcome(rows, x, z1, z2, y, s_y)``, ``write.visit(rows, visit)``
+    and ``write.transformed(rows, z1s, z2s)``, ``rows`` the tile's slice of
+    patients; its arrays are buffers reused by the next tile.  With no
+    ``write``, the draw returns whole arrays (see :class:`_Arrays`): it then
+    holds at most five such arrays for a continuous outcome and six for a
+    count, counting those it returns.
 
     ``z ~ N(-x, 1)`` is drawn as a standard normal less ``x``, and the gamma
     rate as a standard gamma times its scale: numpy's ``normal`` and
@@ -169,58 +220,80 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int,
     stream, which are the same floats.  The transformed covariates' noise
     is the last draw, so leaving them out (``transformed=False``, for the
     callers that read only z1, z2, x, y and the visits) changes no other
-    draw; the draw then returns six arrays, not eight.
+    draw; the draw then returns six arrays, not eight.  The visit uniforms
+    come after the outcome's draws, so a draw without ``visits`` ends after
+    the outcome, changing none of its draws: it neither computes S(y) and
+    the visit probabilities nor draws the visits and the transformed
+    covariates, and returns x, z1, z2 and y.
     """
     t = GRID_TIMES
+    alpha = -3.05 - 2.0 * t
     x = (rng.random(n) < 0.5).astype(np.float64)[:, None]
     z1 = rng.standard_normal((n, N_GRID))
     z1 -= x
     z2 = rng.standard_normal((n, N_GRID))
     z2 -= x
-    term = np.multiply(z1, 0.5)                              # z1 z2 / 2
-    term *= z2
-    if cfg.outcome == "continuous":
-        log_pi = rng.normal(0.0, 0.5, (n, N_GRID))          # eps, then reused
-        y = np.add(z1, 5.0)
-        y += z2
-        y -= term
-        y -= 2.0 * x
-        y -= 0.5 * t
-        y += log_pi
-        s_y = y
-    else:
-        y = np.add(z1, 1.69)                                 # mu, then y
-        y += z2
-        y -= term
-        y += 0.67 * x
-        y -= 0.5 * t
-        np.exp(y, out=y)
-        y *= 0.5
-        s_y = rng.standard_gamma(1.0 / 0.5, y.shape)         # lam, then S(y)
-        s_y *= y
-        y[...] = rng.poisson(s_y)
-        np.log1p(y, out=s_y)
-        log_pi, term = term, np.empty_like(term)
-    np.multiply(z1, cfg.gamma_z, out=log_pi)
-    log_pi += -3.05 - 2.0 * t
-    np.multiply(z2, cfg.gamma_z, out=term)
-    log_pi += term
-    np.multiply(z1, 0.5, out=term)                           # z1 z2 / 2 again
-    term *= z2
-    log_pi += term
-    log_pi += x
-    np.multiply(s_y, cfg.phi_true, out=term)
-    log_pi += term
-    pi = np.exp(log_pi, out=log_pi)
-    np.minimum(pi, 1.0, out=pi)
-    visit = rng.random((n, N_GRID), out=term) < pi
-    del log_pi, pi
-    if not transformed:
-        return x, z1, z2, y, s_y, visit
-    z2s = rng.normal(0.0, 0.1, (n, N_GRID))                  # e, then z2 + e
-    z2s += z2
-    z1s = np.subtract(z1, z2, out=term)
-    return x, z1, z2, y, s_y, visit, z1s, z2s
+    whole = write is None
+    if whole:
+        write = _Arrays(n)
+    count = cfg.outcome == "count"
+    tiles = [(slice(lo, min(lo + _TILE, n)), min(_TILE, n - lo))
+             for lo in range(0, n, _TILE)]
+    # tile buffers: z1 z2 / 2, the outcome, S(y) of a count, a product
+    half, y_buf, s_buf, tmp = np.empty((4, min(_TILE, n), N_GRID))
+
+    def half_z1z2(r, m):
+        out = np.multiply(z1[r], 0.5, out=half[:m])
+        out *= z2[r]
+        return out
+
+    # the visit probabilities; for a count, first the Poisson rates
+    pi = np.empty((n, N_GRID)) if count or visits else None
+    if count:
+        for r, m in tiles:
+            mu = np.add(z1[r], 1.69, out=y_buf[:m])
+            mu += z2[r]
+            mu -= half_z1z2(r, m)
+            mu += 0.67 * x[r]
+            mu -= 0.5 * t
+            np.exp(mu, out=mu)
+            mu *= 0.5
+            rng.standard_gamma(1.0 / 0.5, out=pi[r])
+            pi[r] *= mu
+    for r, m in tiles:
+        y = y_buf[:m]
+        if count:
+            y[...] = rng.poisson(pi[r])
+            s_y = np.log1p(y, out=s_buf[:m]) if visits else None
+        else:
+            eps = rng.normal(0.0, 0.5, (m, N_GRID))
+            np.add(z1[r], 5.0, out=y)
+            y += z2[r]
+            y -= half_z1z2(r, m)
+            y -= 2.0 * x[r]
+            y -= 0.5 * t
+            y += eps
+            s_y = y
+        if visits:
+            log_pi = np.multiply(z1[r], cfg.gamma_z, out=pi[r])
+            log_pi += alpha
+            log_pi += np.multiply(z2[r], cfg.gamma_z, out=tmp[:m])
+            log_pi += half_z1z2(r, m)
+            log_pi += x[r]
+            log_pi += np.multiply(s_y, cfg.phi_true, out=tmp[:m])
+            np.exp(log_pi, out=log_pi)
+            np.minimum(log_pi, 1.0, out=log_pi)
+        write.outcome(r, x[r], z1[r], z2[r], y, s_y)
+    if visits:
+        for r, m in tiles:
+            write.visit(r, rng.random((m, N_GRID), out=tmp[:m]) < pi[r])
+        del pi, log_pi              # freed before the transformed covariates
+        if transformed:
+            for r, m in tiles:
+                z2s = rng.normal(0.0, 0.1, (m, N_GRID))  # e, then z2 + e
+                z2s += z2[r]
+                write.transformed(r, np.subtract(z1[r], z2[r], out=half[:m]), z2s)
+    return (x, z1, z2, *write.drawn.values()) if whole else None
 
 
 _COV_NAMES = ("z1", "z2", "x", "z1s", "z2s")
@@ -261,7 +334,12 @@ def generate(cfg: ScenarioConfig, rep: int):
     Both come from the one draw of the replicate that :func:`run_study`
     uses; the study itself builds only the observed dataset and fits the
     complete-data estimator from per-(X, t) cell sums of the same draws.
+    ``rep`` is an integer in [0, 2**32): the stream indices above are kept
+    for :func:`limiting_phi` and :func:`complete_data_fit`.
     """
+    _require_integers("generate", rep=rep)
+    if not 0 <= rep < _LIMITING_STREAM_BASE:
+        raise ValidationError(f"generate rep must be in [0, 2**32), got {rep!r}")
     (x, z1, z2, y, _, visit, *zs), observed = _replicate(cfg, rep)
     complete = _panel_dataset(x, z1, z2, y, np.ones_like(visit), *zs)
     return observed, complete
@@ -276,6 +354,39 @@ def _require_n_large(n_large) -> None:
         raise ValidationError("n_large must be at least 1")
 
 
+class _TimeMajor:
+    """The :func:`_draw_panel` writer of one block of the limiting design:
+    it copies each tile, transposed and as float32, into the block's columns
+    of the time-major ``design`` and ``visit`` flags (see
+    :func:`_limiting_design`), the block's patient ``i`` into column
+    ``lo + i``."""
+
+    def __init__(self, design, visit, lo: int, correct_covariates: bool):
+        self.design, self.visits, self.lo = design, visit, lo
+        self.correct_covariates = correct_covariates
+
+    def _columns(self, rows: slice) -> slice:
+        return slice(self.lo + rows.start, self.lo + rows.stop)
+
+    def _covariates(self, cols: slice, a, b) -> None:
+        self.design[0, :, cols] = a.T
+        self.design[1, :, cols] = b.T
+        self.design[2, :, cols] = np.multiply(a, b).T
+
+    def outcome(self, rows, x, z1, z2, y, s_y) -> None:
+        cols = self._columns(rows)
+        if self.correct_covariates:
+            self._covariates(cols, z1, z2)
+        self.design[3, :, cols] = x.T
+        self.design[4, :, cols] = s_y.T
+
+    def visit(self, rows, visit) -> None:
+        self.visits[:, self._columns(rows)] = visit.T
+
+    def transformed(self, rows, z1s, z2s) -> None:
+        self._covariates(self._columns(rows), z1s, z2s)
+
+
 def _limiting_design(cfg: ScenarioConfig, n_large: int,
                      correct_covariates: bool):
     """Covariate matrix (float32) and visit flags for the limiting fit.
@@ -284,25 +395,19 @@ def _limiting_design(cfg: ScenarioConfig, n_large: int,
     S(Y).  Column ``k * n_large + i`` is patient ``i`` at grid time ``k``,
     the pair order of :meth:`RiskStructure.grid`.  Patients are drawn in
     blocks of :data:`_DRAW_BLOCK`, block ``c`` from its own substream, so
-    the draws are fixed by ``cfg`` and ``n_large``; one block's float64
-    draws are held at a time besides the design (20 bytes per grid row).
+    the draws are fixed by ``cfg`` and ``n_large``.  Each block's draws go
+    into the design tile by tile (:class:`_TimeMajor`), so besides the
+    design (20 bytes per grid row) a block holds three float64
+    ``(_DRAW_BLOCK, N_GRID)`` arrays, z1, z2 and the visit probabilities,
+    and a few tiles.
     """
     design = np.empty((5, N_GRID, n_large), dtype=np.float32)
     visit = np.empty((N_GRID, n_large), dtype=bool)
-
-    def write(lo, x, z1, z2, y, s_y, v, *transformed):
-        a, b = transformed or (z1, z2)
-        cols = slice(lo, lo + len(x))
-        design[0, :, cols], design[1, :, cols] = a.T, b.T
-        a *= b                                      # a is written; reuse it
-        for out, values in zip((design[2], design[3], design[4], visit),
-                               (a, x, s_y, v)):
-            out[:, cols] = values.T
-
     for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
         rng = substream(cfg.seed, _LIMITING_STREAM_BASE + c)
-        write(lo, *_draw_panel(cfg, rng, min(_DRAW_BLOCK, n_large - lo),
-                               transformed=not correct_covariates))
+        _draw_panel(cfg, rng, min(_DRAW_BLOCK, n_large - lo),
+                    transformed=not correct_covariates,
+                    write=_TimeMajor(design, visit, lo, correct_covariates))
     return design.reshape(5, -1), visit.ravel()
 
 
@@ -407,7 +512,9 @@ def complete_data_fit(cfg: ScenarioConfig,
 
     The fit runs on per-(X, t) cell sums (see :func:`_cell_fit`, which
     also fits each replicate's complete-data estimator in
-    :func:`run_study`), so memory holds one block's draws.  Patients are
+    :func:`run_study`), so memory holds one block's draws: z1, z2 and y,
+    and for a count the Poisson rates, as the draw ends after the
+    outcome.  Patients are
     drawn in blocks of :data:`_DRAW_BLOCK`, block ``c`` from its own
     substream, so the result is fixed by ``cfg`` and ``n_large``.  An arm
     with no patient, possible at tiny ``n_large``, raises
@@ -421,7 +528,8 @@ def complete_data_fit(cfg: ScenarioConfig,
         for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
             yield itemgetter(0, 3)(_draw_panel(  # x, y
                 cfg, substream(cfg.seed, _TRUTH_STREAM_BASE + c),
-                min(_DRAW_BLOCK, n_large - lo), transformed=False))
+                min(_DRAW_BLOCK, n_large - lo), transformed=False,
+                visits=False))
 
     return _cell_fit(blocks(), cfg.marginal_model()).beta
 

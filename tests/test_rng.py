@@ -32,3 +32,18 @@ def test_negative_inputs_rejected():
         substream(-1, 0)
     with pytest.raises(ValueError):
         substream(0, -1)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 1.5), (1.0, 0), (True, 0), (0, False),
+                                         (0, "1"), (0, 2 ** 64), (2 ** 70, 0)])
+def test_non_integer_or_too_large_inputs_rejected(seed, index):
+    # a float or bool is not truncated to a stream: substream(0, 1.5) is not
+    # stream 1
+    with pytest.raises(ValueError, match="seed and stream index"):
+        substream(seed, index)
+
+
+def test_numpy_integers_and_the_largest_index_accepted():
+    assert np.array_equal(substream(np.uint64(7), np.int32(3)).random(3),
+                          substream(7, 3).random(3))
+    substream(0, 2 ** 64 - 1).random()

@@ -83,6 +83,27 @@ def test_generate_is_keyed_by_replicate():
     assert not np.array_equal(obs_a.visit, obs_c.visit)
 
 
+@pytest.mark.parametrize("rep", [1.5, 1.0, True, "1", None])
+def test_generate_rejects_a_non_integer_replicate(rep):
+    with pytest.raises(ValidationError, match="generate rep must be an integer"):
+        generate(cont_cfg(n=5), rep)
+
+
+@pytest.mark.parametrize("rep", [-1, 2 ** 32, 2 ** 70])
+def test_generate_rejects_a_replicate_outside_its_streams(rep):
+    with pytest.raises(ValidationError, match=r"generate rep must be in \[0, 2\*\*32\)"):
+        generate(cont_cfg(n=5), rep)
+
+
+def test_generate_accepts_numpy_integers():
+    cfg = cont_cfg(n=5)
+    want, _ = generate(cfg, 2 ** 32 - 1)
+    for rep in (np.int64(2 ** 32 - 1), np.uint32(2 ** 32 - 1)):
+        got, _ = generate(cfg, rep)
+        assert got.covariates.tobytes() == want.covariates.tobytes()
+        assert got.visit.tobytes() == want.visit.tobytes()
+
+
 def test_generated_panel_structure():
     cfg = cont_cfg(n=25)
     observed, complete = generate(cfg, 0)
@@ -306,15 +327,76 @@ def test_draw_without_transformed_covariates_is_the_full_draw_less_them(
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("outcome", ["continuous", "count"])
+@pytest.mark.parametrize("transformed", [True, False])
+@settings(max_examples=8, deadline=None)
+@given(tile=st.sampled_from([1, 3, 13]), gamma_z=st.floats(-2.0, 2.0),
+       phi_true=st.floats(-0.5, 0.5), seed=st.integers(0, 2 ** 16),
+       n=st.integers(1, 12))
+def test_draws_do_not_depend_on_the_tile_size(outcome, transformed, tile, gamma_z,
+                                              phi_true, seed, n):
+    # tiles of one patient, tiles with a partial last one, and one tile
+    cfg = cont_cfg(outcome=outcome, gamma_z=gamma_z, phi_true=phi_true)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simlab, "_TILE", tile)
+        got = _draw_panel(cfg, substream(seed, 5), n, transformed)
+    want = oracles.draw_panel(cfg, substream(seed, 5), n)
+    assert len(got) == (8 if transformed else 6)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("outcome", ["continuous", "count"])
+@pytest.mark.parametrize("correct", [True, False])
+def test_limiting_design_is_the_time_major_stack_of_reference_draws(
+        monkeypatch, outcome, correct):
+    # blocks of 7 patients in tiles of 3: n_large = 17 gives two full blocks
+    # and a partial last one, each with a partial last tile
+    monkeypatch.setattr(simlab, "_DRAW_BLOCK", 7)
+    monkeypatch.setattr(simlab, "_TILE", 3)
+    cfg = cont_cfg(outcome=outcome, gamma_z=1.25, phi_true=0.3, seed=11)
+    n_large = 17
+    design, visit = _limiting_design(cfg, n_large, correct)
+    want = np.empty((5, 500, n_large), dtype=np.float32)
+    want_visit = np.empty((500, n_large), dtype=bool)
+    for c, lo in enumerate(range(0, n_large, 7)):
+        m = min(7, n_large - lo)
+        rng = substream(cfg.seed, simlab._LIMITING_STREAM_BASE + c)
+        x, z1, z2, _, s_y, v, z1s, z2s = oracles.draw_panel(cfg, rng, m)
+        a, b = (z1, z2) if correct else (z1s, z2s)
+        for k, values in enumerate((a, b, a * b, np.broadcast_to(x, (m, 500)), s_y)):
+            want[k, :, lo:lo + m] = values.T.astype(np.float32)
+        want_visit[:, lo:lo + m] = v.T
+    assert design.dtype == np.float32 and design.shape == (5, 500 * n_large)
+    assert design.tobytes() == want.tobytes()
+    assert visit.tobytes() == want_visit.tobytes()
+
+
+@pytest.mark.parametrize("outcome", ["continuous", "count"])
+def test_limiting_design_holds_three_arrays_of_draws_per_block(outcome):
+    # one full block: besides the design and the visit flags, z1, z2 and
+    # the visit probabilities, and a few tiles
+    cfg = cont_cfg(outcome=outcome, gamma_z=1.25, phi_true=0.3, seed=1)
+    tracemalloc.start()
+    try:
+        design, visit = _limiting_design(cfg, simlab._DRAW_BLOCK, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_array = simlab._DRAW_BLOCK * 500 * 8
+    assert peak - design.nbytes - visit.nbytes <= 3.5 * one_array
+
+
 def test_correct_covariates_are_drawn_without_the_transformed(monkeypatch):
     # the correctZ weight models, the complete-data fit and the limiting
     # fit on the correct covariates read no transformed covariate
     requested = []
     draw = simlab._draw_panel
 
-    def spy(cfg, rng, n, transformed=True):
+    def spy(cfg, rng, n, transformed=True, **kw):
         requested.append(transformed)
-        return draw(cfg, rng, n, transformed)
+        return draw(cfg, rng, n, transformed, **kw)
 
     monkeypatch.setattr(simlab, "_draw_panel", spy)
     for scenario in ("s1_noSF_correctZ", "s3_SF_correctZ"):
@@ -530,6 +612,8 @@ def test_complete_data_fit_holds_one_block_of_draws():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.15 * peaks[0]
+    # a block holds z1, z2 and y: its draw ends after the outcome
+    assert peaks[0] <= 3.5 * 4000 * 500 * 8
     assert [b.hex() for b in betas[1]] == [
         "0x1.3fcd8bcd12163p+2", "-0x1.1ffed6138b532p+2", "-0x1.ff211cd09b03ep-2"]
 
