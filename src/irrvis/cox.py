@@ -92,9 +92,10 @@ class _PartialLikelihood:
     float64 over ``z_cover.T``, C-contiguous when ``z_cover`` comes from
     :meth:`BoundDesign.evaluate`, in the :meth:`RiskStructure.blocks` of
     :data:`_BLOCK_PAIRS` and one ``(p + 1, block)`` workspace, each range
-    shifted by its largest linear predictor.  The pieces of a larger event
-    merge S0, S1 and the unweighted second moment under the larger shift,
-    weighting the moment by ``A_k / S0_k`` after the last piece.
+    shifted by its largest linear predictor and weighted by the structure's
+    pair weights, if any.  The pieces of a larger event merge S0, S1 and the
+    second moment under the larger shift, weighting the moment by
+    ``A_k / S0_k`` after the last piece.
     """
 
     def __init__(self, rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
@@ -112,7 +113,7 @@ class _PartialLikelihood:
         self.last = None
 
     def at(self, gamma: np.ndarray):
-        rs, p = self.rs, self.zt.shape[0]
+        rs, p, weight = self.rs, self.zt.shape[0], self.rs.pair_weight
         s0, s1, shift = np.empty(rs.K), np.empty((p, rs.K)), np.empty(rs.K)
         second = np.zeros((p, p))
         split = None      # (shift, S0, S1, second moment) so far of a split event
@@ -124,11 +125,13 @@ class _PartialLikelihood:
             c = e.max()
             e -= c
             np.exp(e, out=e)
+            if weight is not None:
+                e *= weight[lo:hi]
             np.multiply(z, e, out=ze)
             sums = np.add.reduceat(work, offsets, axis=-1)
-            RiskStructure.check_positive(sums[0])
             start, end = rs.event_starts[k0], rs.event_starts[k0] + rs.event_counts[k0]
             if lo == start and hi >= end:                        # whole events
+                self._check(sums[0], k0)
                 s0[k0:k1], s1[:, k0:k1], shift[k0:k1] = sums[0], sums[1:], c
                 ze *= np.repeat(self.a[k0:k1] / sums[0], rs.event_counts[k0:k1])
                 second += ze @ z.T
@@ -141,6 +144,7 @@ class _PartialLikelihood:
             split = piece
             if hi == end:
                 shift[k0], s0[k0], s1[:, k0] = split[:3]
+                self._check(s0[k0:k0 + 1], k0)
                 second += self.a[k0] / s0[k0] * split[3]
         self.last = (gamma.copy(), s0, shift)
         # each shift cancels: A_k log(S0_k e^shift_k) contributes A_k shift_k,
@@ -150,6 +154,12 @@ class _PartialLikelihood:
         mean = s1 / s0
         score = (self.visit_score - mean @ self.a) / rs.n
         return loglik, score, (second - (mean * self.a) @ mean.T) / rs.n
+
+    def _check(self, s0: np.ndarray, k0: int) -> None:
+        """:meth:`RiskStructure.check_positive` on the S0 of events ``k0, ...``
+        set to 1 where ``A_k`` is 0, so that their terms are exact zeros."""
+        s0[self.a[k0:k0 + s0.size] == 0.0] = 1.0
+        RiskStructure.check_positive(s0)
 
     def breslow(self, gamma: np.ndarray) -> np.ndarray:
         """Increments ``A_k / S0_k`` at ``gamma``, reusing the latest

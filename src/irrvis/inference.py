@@ -9,28 +9,27 @@ normal-theory, estimate +/- 1.96 * SE.
 
 A resample is a vector of copies per patient, analysed as ``analyze_once``
 would analyse ``dataset.take_patients`` of the patients in ascending
-order, each repeated by its copies, without building that dataset.  The
+order, each repeated by its copies, without building that dataset: the
 sweep prepares the full data once (its risk structure and the design of
-each spec on its incidence pairs and visit rows); each resample repeats
-the event-major pairs by their patient's copies, drops the event times at
-which none of its visits falls together with the pairs covering them, and
-runs the same pipeline stages on the fitting cores of :mod:`irrvis.cox`,
-:mod:`irrvis.weights` and :mod:`irrvis.gee` that the public functions
-call.  Started from zero, as the public functions start, a resample
-reproduces ``take_patients`` bit for bit.  The jackknife and the
-bootstrap instead start each resample's visit model and balance solves
-at the point fit's solution, which lies O(1/n) from the resample's; the
-Newton search then stops at a different iterate within the solvers'
-tolerance, and a resample's estimate moves by less than 1e-7 relative.
-Point fits are unchanged.
+each spec on its incidence pairs and visit rows), and each resample
+weights every pair and visit row by its patient's copies (see
+:class:`_ResampleStages`) in the fitting cores that the public functions
+call.  Started from zero, as they start, a resample reproduces
+``take_patients`` to 1e-10 relative and fails where it fails; with all
+copies 1 it is ``analyze_once`` bit for bit.  The jackknife and
+the bootstrap instead start each resample's visit model and balance
+solves at the point fit's solution, which lies O(1/n) from the
+resample's; the Newton search then stops at a different iterate within
+the solvers' tolerance, and a resample's estimate moves by less than 1e-7
+relative.  Point fits are unchanged.
 
 Only the selection factors depend on phi, and the deletions or draws are
 the same at every phi.  So the sweep fits every point first and then
-makes one resample-major pass: each resample is gathered once (its
-structure, kept pairs and designs), fitted at every phi whose point fit
-succeeded, and dropped before the next is gathered.  :func:`jackknife`
-and :func:`bootstrap` are that pass over a one-phi grid after its point
-fit, and each phi's standard errors in a sweep equal theirs bit for bit.
+makes one resample-major pass: each resample's weighted structure is
+made once, fitted at every phi whose point fit succeeded, and dropped
+before the next is made.  :func:`jackknife` and :func:`bootstrap` are
+that pass over a one-phi grid after its point fit, and each phi's
+standard errors in a sweep equal theirs bit for bit.
 
 Besides its table, a :class:`SweepResult` keeps, for each phi, the visit
 model fit and the weights of the point fit, or the PipelineError that
@@ -50,7 +49,7 @@ import numpy as np
 
 from . import cox, gee, weights
 from .cox import fit_cox
-from .data import Dataset, _blocks, _format_float, _take_rows, _write_csv
+from .data import Dataset, _blocks, _format_float, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
 from .errors import (IrrvisError, NumericError, ValidationError,
                      _require_integers, _stage)
@@ -83,8 +82,8 @@ class Resampling:
         if self.kind == "bootstrap":
             if self.b < 2:
                 raise ValidationError("bootstrap needs at least 2 draws")
-            if self.seed < 0:
-                raise ValidationError("bootstrap seed must be non-negative")
+            if not 0 <= self.seed < 1 << 64:
+                raise ValidationError("bootstrap seed must be non-negative, below 2**64")
 
 
 @dataclass(frozen=True)
@@ -187,24 +186,24 @@ class _DatasetStages:
 
 
 class _Prepared:
-    """One dataset's pipeline inputs, from which any resample's are gathered.
+    """One dataset's pipeline inputs, on which every resample is fitted.
 
     A resample is a vector of copies per patient (see the module
     docstring).  The full dataset's :class:`RiskStructure` and the designs
-    of every spec on its incidence pairs and visit rows are built once.
-    Visit rows are grouped by patient, so a resample's are gathered patient
-    block by patient block.  The pairs stay event-major; ``pair_patient``
-    names each pair's patient, by whose copies :meth:`RiskStructure.subset`
-    repeats it.  A spec with standardized terms is bound on each resample's
-    own rows and evaluated there instead, as :func:`analyze_once` on the
-    resample would; its full-data design is None.
+    of every spec on its incidence pairs and visit rows are built once,
+    with each pair's and visit row's patient (``pair_patient``,
+    ``visit_patient``).  A spec with standardized terms is bound on each
+    resample's own rows instead, as :func:`analyze_once` on the resample
+    would bind it, and evaluated on the full pairs and visit rows; its
+    full-data design is None.  A resample fitted on these from zero
+    matches ``take_patients`` to 1e-10 relative.
     """
 
     def __init__(self, dataset: Dataset, config: AnalysisConfig):
         self.dataset = dataset
         self.config = config
         self.visit_rows = dataset.visit_row_indices()
-        self.visit_bounds = np.searchsorted(self.visit_rows, dataset.patient_row_bounds)
+        self.visit_patient = dataset.patient_index[self.visit_rows]
         self.y = dataset.outcome[self.visit_rows]
         self.x = self._full(config.model.xspec, "visits")
         if config.weight_kind == "none":
@@ -229,20 +228,19 @@ class _Prepared:
 class _ResampleStages:
     """Pipeline stages on one resample, through the fitting cores.
 
-    Only the selection factors depend on phi.  The resample's structure,
-    its kept pairs and its designs are gathered (or bound and evaluated)
-    on first use and kept, so fitting it at several phi gathers them once;
-    a gather that fails is not kept and fails the same way again.
+    Each pair and each visit row's Q is weighted by its patient's copies
+    (so is each row of an unweighted marginal fit), and sums are divided by
+    ``n``, the sum of the copies.  The weighted structure and any design
+    bound on the resample's rows are made on first use and kept; one that
+    fails is not kept and fails the same way again.
     """
 
     def __init__(self, prepared: _Prepared, copies: np.ndarray):
         self.prepared = prepared
         self.start = (None, None)
         self.copies = copies
-        self.patients = np.repeat(np.arange(copies.size), copies)
-        self.n = self.patients.size
-        self.visits = _blocks(prepared.visit_bounds, self.patients)
-        self.y = prepared.y[self.visits]
+        self.n = int(copies.sum())
+        self.visit_copies = copies[prepared.visit_patient].astype(np.float64)
 
     def analyze(self, phi: float, start=None):
         """:func:`analyze_once` on the resample at ``phi``.  ``start`` is
@@ -252,60 +250,58 @@ class _ResampleStages:
         self.start = (None, None) if start is None else start
         return _run_stages(self, self.prepared.config, phi)
 
-    def _bind(self, spec):
-        """``spec`` bound on the resample's at-risk rows."""
-        dataset = self.prepared.dataset
-        rows = _blocks(dataset.patient_row_bounds, self.patients)
-        return BoundDesign(dataset, spec, "at_risk", rows[dataset.at_risk[rows]])
+    def _rows(self, flags):
+        """The rows flagged by ``flags`` of the resample's patients, patient
+        by patient and repeated by their copies, as in ``take_patients``."""
+        patients = np.repeat(np.arange(self.copies.size), self.copies)
+        rows = _blocks(self.prepared.dataset.patient_row_bounds, patients)
+        return rows[flags[rows]]
 
-    def _design(self, bound, full, rs, kept):
-        """The design on the resample's pairs and visit rows: gathered from
-        the full data's ``full`` by the ``kept`` pairs of its structure
-        ``rs``, or evaluated by ``bound`` on ``rs`` where the spec
-        standardizes and ``full`` is None."""
-        if full is None:
-            return rs.design(bound, self.prepared.dataset)
-        return _take_rows(full[0], kept), _take_rows(full[1], self.visits)
+    def _design(self, full, spec):
+        """``full``, or where it is None, ``spec`` bound on the resample's
+        at-risk rows and evaluated on the full pairs and visit rows."""
+        if full is not None:
+            return full
+        p = self.prepared
+        bound = BoundDesign(p.dataset, spec, "at_risk", self._rows(p.dataset.at_risk))
+        return p.rs.design(bound, p.dataset)
 
     @cached_property
     def _structure(self):
-        """``(RiskStructure, kept pairs, (z on the pairs, z on the visits))``."""
+        """``(weighted RiskStructure, (z on the pairs, z on the visits))``."""
         p = self.prepared
-        copies = self.copies[p.pair_patient]
-        # fit_cox binds before it builds the structure; a resample without
-        # pairs has no at-risk rows or no visits, and binding names the first
-        bound = self._bind(p.config.zspec) if p.z is None or not copies.any() else None
-        rs, kept = p.rs.subset(copies, self.visits, self.n)
-        return rs, kept, self._design(bound, p.z, rs, kept)
+        # fit_cox binds before it needs a visit: a lack of at-risk rows is named first
+        z = self._design(p.z if self.visit_copies.any() else None, p.config.zspec)
+        if not self.visit_copies.any():
+            raise ValidationError("dataset has no visits")
+        return p.rs.weighted(self.copies[p.pair_patient].astype(np.float64), self.n), z
 
     @cached_property
     def _h(self):
-        """The balance design on the resample's pairs and visit rows."""
-        p = self.prepared
-        bound = self._bind(p.config.balance.hspec) if p.h is None else None
-        return self._design(bound, p.h, *self._structure[:2])
+        """The balance design on the pairs and visit rows."""
+        return self._design(self.prepared.h, self.prepared.config.balance.hspec)
 
     @cached_property
     def _x(self):
-        """The marginal design on the resample's visit rows."""
+        """The marginal design on the visit rows."""
         p = self.prepared
-        rows = p.visit_rows[self.visits]
-        bound = gee._bind(p.dataset, p.config.model, rows)
-        if bound.standardizes:
-            return bound.evaluate(p.dataset, rows)
-        return _take_rows(p.x, self.visits)
+        if p.x is not None and self.visit_copies.any():
+            return p.x
+        bound = gee._bind(p.dataset, p.config.model, self._rows(p.dataset.visit))
+        return bound.evaluate(p.dataset, p.visit_rows)
 
     def selection(self, phi):
-        return weights._selection_factors(self.y, self.prepared.config.selection, phi)
+        q = weights._selection_factors(self.prepared.y, self.prepared.config.selection, phi)
+        return cox.QValues(q.phi, q.values * self.visit_copies)
 
     def visit_model(self, q):
-        rs, _, (z_cover, z_visit) = self._structure
+        rs, (z_cover, z_visit) = self._structure
         return cox._fit(rs, z_cover, z_visit, self.prepared.config.zspec,
                         q.values, self.start[0])
 
     def weights(self, fit, q):
         p = self.prepared
-        rs, _, (_, z_visit) = self._structure
+        rs, (_, z_visit) = self._structure
         if p.config.weight_kind == "mle":
             return weights._inverse_intensity(fit, z_visit @ fit.gamma,
                                               q.values, q.phi)
@@ -316,7 +312,9 @@ class _ResampleStages:
                                 self.start[1])
 
     def marginal(self, w):
-        return gee._fit(self._x, self.y, w, self.prepared.config.model, self.n)
+        w = self.visit_copies if w is None else w
+        return gee._fit(self._x, self.prepared.y, w, self.prepared.config.model,
+                        self.n)
 
 
 @dataclass(frozen=True)
@@ -335,8 +333,8 @@ def _refits(prepared: _Prepared, draws, points: dict) -> dict:
     so a resample's ValidationError (a standardized term constant on its
     rows) is its own and counts as a failure, as a NumericError does.
 
-    The pass is resample-major: each resample is gathered once and fitted
-    at every phi before the next is gathered, so one resample's arrays are
+    The pass is resample-major: each resample is weighted once and fitted
+    at every phi before the next is weighted, so one resample's arrays are
     alive at a time.  Each resample lies O(1/n) from the whole data, so
     its visit model and balance solves at a phi start at the solution of
     ``points[phi]``, that phi's :func:`analyze_once`, or at zero where it
@@ -378,23 +376,23 @@ def _bootstrap_se(est: np.ndarray, n_failed: int, b: int) -> ResampleSE:
     return ResampleSE(se, est.shape[0], n_failed)
 
 
-def _resampler(kind: str, n: int, b: int = 0, seed: int = 0):
+def _resampler(resampling: Resampling, n: int):
     """``(draws, summary)`` of the jackknife or the bootstrap on ``n``
     patients: the copies of each patient in each resample, and the function
     from one phi's ``(estimates, n_failed)`` to its :class:`ResampleSE`."""
-    if kind == "jackknife":
+    if resampling.kind == "jackknife":
         if n < 2:
             raise ValidationError("jackknife needs at least 2 patients")
         return ((np.arange(n) != k).astype(np.int64) for k in range(n)), _jackknife_se
-    draws = (np.bincount(substream(seed, r).integers(0, n, size=n), minlength=n)
-             for r in range(b))
-    return draws, lambda est, n_failed: _bootstrap_se(est, n_failed, b)
+    draws = (np.bincount(substream(resampling.seed, r).integers(0, n, size=n),
+                         minlength=n) for r in range(resampling.b))
+    return draws, lambda est, n_failed: _bootstrap_se(est, n_failed, resampling.b)
 
 
 def _resample_se(dataset: Dataset, config: AnalysisConfig, phi: float,
-                 kind: str, b: int = 0, seed: int = 0) -> ResampleSE:
+                 resampling: Resampling) -> ResampleSE:
     """The resampling pass of :func:`sweep` over the one-phi grid ``phi``."""
-    draws, summary = _resampler(kind, dataset.n_patients, b, seed)
+    draws, summary = _resampler(resampling, dataset.n_patients)
     try:
         point = analyze_once(dataset, config, phi)
     except NumericError:
@@ -410,30 +408,32 @@ def jackknife(dataset: Dataset, config: AnalysisConfig, phi: float) -> ResampleS
     counted.
 
     Deletion ``k`` is fitted as ``analyze_once`` on
-    ``dataset.take_patients`` of every patient but ``k`` would fit it, from
+    ``dataset.take_patients`` of every patient but ``k`` would fit it, on
     arrays prepared once for the whole dataset (see :class:`_Prepared`)
-    rather than rebuilt, with its visit model and balance solves started
-    at the solution of the point fit, ``analyze_once`` at ``phi`` (at zero
-    if that fails numerically; its ValidationError propagates); it fails
-    where that fit fails and its estimate agrees with it to 1e-7 relative.
-    This is the pass of :func:`sweep` over the one-phi grid ``phi``, so a
-    sweep gives the same standard errors bit for bit.
+    with patient ``k``'s weight 0, with its visit model and balance solves
+    started at the solution of the point fit, ``analyze_once`` at ``phi``
+    (at zero if that fails numerically; its ValidationError propagates);
+    it fails where that fit fails and its estimate agrees with it to 1e-7
+    relative (1e-10 from the same start).  This is the pass of
+    :func:`sweep` over the one-phi grid ``phi``, so a sweep gives the same
+    standard errors bit for bit.
     """
-    return _resample_se(dataset, config, phi, "jackknife")
+    return _resample_se(dataset, config, phi, Resampling("jackknife"))
 
 
 def bootstrap(dataset: Dataset, config: AnalysisConfig, phi: float,
               b: int, seed: int) -> ResampleSE:
     """Patient-level bootstrap: SE from the replicate SD.
 
+    ``b`` and ``seed`` are checked as :class:`Resampling` checks them.
     Replicate r draws patients with a dedicated substream(seed, r), so any
     subset of replicates is reproducible in isolation.  The replicate is
     ``dataset.take_patients`` of its draw in ascending order, fitted like a
-    jackknife deletion, from arrays prepared once and with its solves
-    started at the point fit's solution, in the same pass that
-    :func:`sweep` makes; failed replicates are dropped and counted.
+    jackknife deletion with each patient weighted by its copies, in the
+    same pass that :func:`sweep` makes; failed replicates are dropped and
+    counted.
     """
-    return _resample_se(dataset, config, phi, "bootstrap", b, seed)
+    return _resample_se(dataset, config, phi, Resampling("bootstrap", b, seed))
 
 
 _SWEEP_COLUMNS = ("phi", "term", "estimate", "se", "ci_lo", "ci_hi",
@@ -480,8 +480,7 @@ def _sweep_ses(dataset: Dataset, config: AnalysisConfig, points: dict,
         return {phi: np.full(n_terms, np.nan) for phi in points}
     if not points:
         return {}
-    draws, summary = _resampler(resampling.kind, dataset.n_patients,
-                                resampling.b, resampling.seed)
+    draws, summary = _resampler(resampling, dataset.n_patients)
     ses = {}
     for phi, refit in _refits(_Prepared(dataset, config), draws, points).items():
         try:
@@ -496,7 +495,7 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
 
     The point fits come first, in grid order.  Resampling then makes one
     pass over the jackknife deletions or bootstrap draws, which are the
-    same at every phi: each resample is gathered once and fitted at every
+    same at every phi: each resample is weighted once and fitted at every
     phi whose point fit succeeded, started at that fit's solution, and
     each phi gets the standard errors :func:`jackknife` or
     :func:`bootstrap` give there, bit for bit.  A resample that fails

@@ -14,11 +14,18 @@ patient-major as a dataset, in closed form.
 For an empty segment ``reduceat`` returns the element at its start, not
 zero, so every event must have at least one pair.  Validated data
 guarantee it: a visit row is at risk and has ``end > start``, so it covers
-its own event time, and a subset keeps an event only with one of its
-visits.  A structure that would break this raises :class:`NumericError`.
+its own event time.  A structure that would break this raises
+:class:`NumericError`.
+
+A resample of the patients weights the pairs (:meth:`RiskStructure.weighted`)
+and keeps every event time.  One at which it has no visit, like a grid
+time without a visit, has a pooled visit sum ``A_k`` of zero, and all its
+terms in a likelihood are exact zeros.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -51,7 +58,12 @@ class RiskStructure:
         Event index of each visit row.
     n : int
         Number of patients; sums are reported divided by ``n``.
+    pair_weight : ndarray of float64, shape (M,), or None
+        Weight of each pair in risk-set sums; None, for weight 1, on every
+        structure built from data.
     """
+
+    pair_weight = None
 
     def __init__(self, dataset: Dataset):
         self.n = dataset.n_patients
@@ -121,38 +133,12 @@ class RiskStructure:
                 "an event time has an empty risk set; check at_risk flags")
         self.event_starts = np.cumsum(self.event_counts) - self.event_counts
 
-    def subset(self, copies: np.ndarray, visits: np.ndarray, n: int):
-        """Structure of a dataset of this one's patients in ascending order,
-        each repeated by its copies (possibly 0).
-
-        ``copies`` holds the copies of each incidence pair's patient, and
-        ``visits`` indexes this structure's visit rows in the new dataset's
-        order.  Event times at which none of ``visits`` falls are dropped
-        with the pairs that cover them, the remaining events are renumbered,
-        and every other pair is repeated by its copies in place.  A patient
-        of a validated dataset has at most one pair per event, so the result
-        is event-major with the new dataset's row order inside each event,
-        as :class:`RiskStructure` of the new dataset would be.  Returns
-        ``(structure, kept)``: per-pair arrays are gathered by ``kept``, the
-        pair of this structure behind each of the result's.  Row indices in
-        the result still refer to this structure's dataset.
-        """
-        events = np.zeros(self.K, dtype=bool)
-        events[self.visit_event[visits]] = True
-        if not events.any():
-            raise ValidationError("dataset has no visits")
-        renumber = np.cumsum(events) - 1
-        kept = np.repeat(np.arange(copies.size), copies * events[self.cover_event])
-        out = object.__new__(RiskStructure)
-        out.n = int(n)
-        out.event_times = self.event_times[events]
-        out.K = int(out.event_times.size)
-        out.cover_row = self.cover_row[kept]
-        out.cover_event = renumber[self.cover_event[kept]]
-        out.visit_rows = self.visit_rows[visits]
-        out.visit_event = renumber[self.visit_event[visits]]
-        out._index_events()
-        return out, kept
+    def weighted(self, pair_weight: np.ndarray, n: int):
+        """This structure with each pair weighted by ``pair_weight`` (in a
+        resample, its patient's copies) and ``n`` patients in all."""
+        out = copy.copy(self)
+        out.pair_weight, out.n = pair_weight, int(n)
+        return out
 
     def cover_times(self) -> np.ndarray:
         """Event time of each incidence pair."""

@@ -132,8 +132,8 @@ class ScenarioConfig:
             raise ValidationError("n must be at least 2")
         if self.n_reps < 1:
             raise ValidationError("n_reps must be at least 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValidationError("seed must be non-negative, below 2**64")
 
     def selection(self) -> SelectionSpec:
         kind = "identity" if self.outcome == "continuous" else "log1p"

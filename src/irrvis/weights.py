@@ -161,7 +161,8 @@ class _BalanceSystem:
 
     ``h_cover`` holds the balance terms on the risk structure's incidence
     pairs and ``h_visit`` on its visit rows; ``breslow`` is as in
-    :func:`balancing_weights`.
+    :func:`balancing_weights`.  Where the structure has pair weights, each
+    pair's increment in the target is weighted by its pair's weight.
     """
 
     def __init__(self, rs: RiskStructure, h_cover: np.ndarray, h_visit: np.ndarray,
@@ -169,7 +170,10 @@ class _BalanceSystem:
         inc = _breslow_pair(breslow, rs)
         self.h_visit = h_visit
         # target: sum_k dLambda_k * (risk-set sum of h at event k)
-        self.target = h_cover.T @ np.repeat(inc, rs.event_counts)
+        per_pair = np.repeat(inc, rs.event_counts)
+        if rs.pair_weight is not None:
+            per_pair *= rs.pair_weight
+        self.target = h_cover.T @ per_pair
         self.q = q_arr
         self.n = rs.n
 
@@ -220,11 +224,11 @@ def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float,
     """:func:`balancing_weights` on a built balance system, with the
     Newton search started at ``start`` if it has one entry per kept term
     and at zero otherwise."""
-    # a non-constant term that never varies at visit rows duplicates the
-    # intercept direction and makes the Jacobian singular; drop it
+    # a non-constant term that never varies at the visit rows with q > 0
+    # duplicates the intercept direction, making the Jacobian singular
     names = list(hspec.names)
     const_j = next(j for j, t in enumerate(hspec.terms) if t.kind == "const")
-    keep = np.ptp(system.h_visit, axis=0) > 0.0
+    keep = np.ptp(system.h_visit[system.q > 0.0], axis=0) > 0.0
     keep[const_j] = True
     if not keep.all():
         dropped = [n for n, k in zip(names, keep) if not k]

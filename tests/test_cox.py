@@ -109,15 +109,24 @@ def kernel_panel(seed):
 
 
 def assert_kernel_matches_oracle(pl, ds, gamma, q):
+    """``pl`` at ``gamma`` matches the oracle on ``ds`` with Q ``q``.  The
+    structure of ``pl`` may hold event times at which ``ds`` has no visit;
+    their increments must be zero."""
     def f(g):
         return oracles.cox_loglik(ds, KERNEL_TERMS, g, q) / ds.n_patients
 
-    loglik, score, information = pl.at(gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loglik, score, information = pl.at(gamma)
+        increments = pl.breslow(gamma)
     assert np.isclose(loglik, f(gamma), rtol=1e-12, atol=1e-12)
     assert np.allclose(score, oracles._fd_grad(f, gamma), rtol=0.0, atol=1e-7)
     assert np.allclose(information, -oracles._fd_hess(f, gamma), rtol=0.0, atol=1e-5)
-    assert np.allclose(pl.breslow(gamma),
-                       oracles.breslow(ds, KERNEL_TERMS, gamma, q)[1], rtol=1e-12)
+    times, want = oracles.breslow(ds, KERNEL_TERMS, gamma, q)
+    visited = np.isin(pl.rs.event_times, times)
+    assert np.array_equal(pl.rs.event_times[visited], times)
+    assert np.allclose(increments[visited], want, rtol=1e-12)
+    assert not increments[~visited].any()
 
 
 def test_block_event_sums_match_loops(monkeypatch):
@@ -167,8 +176,9 @@ def test_kernel_matches_oracle_on_panels_and_resamples(seed, copies):
             pl = _PartialLikelihood(rs, z_cover, z_visit, q)
         assert_kernel_matches_oracle(pl, ds, gamma, q)
 
-    # 0, 1 or 2 copies of each patient, through RiskStructure.subset and
-    # the full design's rows, against the oracle on the drawn dataset
+    # 0, 1 or 2 copies of each patient: the full structure and design, each
+    # pair weighted by its patient's copies and each visit's Q multiplied by
+    # them, against the oracle on the drawn dataset
     copies = np.asarray(copies[:ds.n_patients])
     draw = np.repeat(np.arange(ds.n_patients), copies)
     if not draw.size:
@@ -176,12 +186,15 @@ def test_kernel_matches_oracle_on_panels_and_resamples(seed, copies):
     sub = ds.take_patients(draw)
     if not sub.visit.any():
         return
-    visits = drawn_positions(rs.visit_rows, ds.patient_row_bounds, draw)
-    got, kept = rs.subset(copies[ds.patient_index[rs.cover_row]], visits,
-                          draw.size)
-    q_sub = q[visits]
-    pl = _PartialLikelihood(got, z_cover[kept], z_visit[visits], q_sub)
-    assert_kernel_matches_oracle(pl, sub, gamma, q_sub)
+    weighted = rs.weighted(copies[ds.patient_index[rs.cover_row]].astype(float),
+                           draw.size)
+    own = copies[ds.patient_index[rs.visit_rows]]
+    for block in (1 << 15, 3, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cox, "_BLOCK_PAIRS", block)
+            pl = _PartialLikelihood(weighted, z_cover, z_visit, q * own)
+        visits = drawn_positions(rs.visit_rows, ds.patient_row_bounds, draw)
+        assert_kernel_matches_oracle(pl, sub, gamma, q[visits])
 
 
 def test_score_residual_below_tolerance():

@@ -20,6 +20,10 @@ from irrvis.riskset import RiskStructure
 
 IDENT = MarginalModelSpec(ModelMatrixSpec(["1", "z1"]))
 
+# the goldens' tolerance: a resample sums the full data's pairs and visit
+# rows weighted by its copies, in another order than its taken patients'
+RTOL = 1e-10
+
 
 def none_config(model=IDENT, **kw):
     return AnalysisConfig(model=model, **kw)
@@ -41,6 +45,27 @@ def test_resampling_validation():
     with pytest.raises(ValidationError, match="non-negative"):
         Resampling(kind="bootstrap", seed=-1)
 
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70])
+def test_resampling_rejects_a_seed_beyond_the_stream_key(seed):
+    with pytest.raises(ValidationError, match="seed must be non-negative, below 2"):
+        Resampling("bootstrap", seed=seed)
+    Resampling("bootstrap", seed=2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("b, seed, match", [
+    (1, 0, "at least 2 draws"),
+    (0, 0, "at least 2 draws"),
+    (4, -1, "seed must be non-negative"),
+    (4, 2 ** 64, "seed must be non-negative, below 2"),
+    (2.5, 0, "resampling b must be an integer"),
+    (4, 1.0, "resampling seed must be an integer"),
+])
+def test_bootstrap_checks_its_draws_as_resampling_does(b, seed, match):
+    ds = random_panel(4, n_patients=8, p_visit=0.7)
+    with pytest.raises(ValidationError, match=match):
+        bootstrap(ds, none_config(), 0.0, b=b, seed=seed)
 
 
 @pytest.mark.parametrize("field", ["b", "seed"])
@@ -248,8 +273,10 @@ def test_bootstrap_matches_manual_replication():
         idx = np.sort(substream(9, r).integers(0, 8, size=8))
         betas.append(fit_weighted_gee(ds.take_patients(idx), IDENT,
                                       weights=None).beta)
+    # a replicate weights the full data by its copies, so its sums run in
+    # another order than on the taken patients
     est = np.asarray(betas)
-    assert np.array_equal(res.se, est.std(axis=0, ddof=1))
+    assert np.allclose(res.se, est.std(axis=0, ddof=1), rtol=RTOL, atol=0.0)
     assert res.n_used == 16 and res.n_failed == 0
 
 
@@ -464,33 +491,49 @@ def resample(prepared, patients, phi, start=None):
     return _ResampleStages(prepared, copies).analyze(phi, start)
 
 
+def same_failure(got, want):
+    """``got`` and ``want`` are failures of the same type, stage and message."""
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert getattr(got, "stage", None) == getattr(want, "stage", None)
+
+
 def same_pass(prepared, ds, cfg, patients, phi):
     """The prepared resample reproduces ``analyze_once`` on
-    ``take_patients(np.sort(patients))`` bit for bit, or fails the same
-    way; True on success."""
+    ``take_patients(np.sort(patients))`` to relative ``RTOL``, or fails the
+    same way; True on success.  Its per-visit outputs are the full data's,
+    a visit row's weight counting its patient's copies."""
     try:
         want_fit, want_w = analyze_once(ds.take_patients(np.sort(patients)),
                                         cfg, phi)
     except IrrvisError as exc:
         with pytest.raises(IrrvisError) as err:
             resample(prepared, patients, phi)
-        assert type(err.value) is type(exc)
-        assert str(err.value) == str(exc)
-        assert getattr(err.value, "stage", None) == getattr(exc, "stage", None)
+        same_failure(err.value, exc)
         return False
-    fit, w = resample(prepared, patients, phi)
-    for field in ("beta", "fitted_means"):
-        assert np.array_equal(getattr(fit, field), getattr(want_fit, field))
-    assert (fit.n_iter, fit.max_eq_norm) == (want_fit.n_iter, want_fit.max_eq_norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit, w = resample(prepared, patients, phi)
+    visits = drawn_positions(prepared.visit_rows, ds.patient_row_bounds,
+                             np.sort(patients))
+    assert np.allclose(fit.beta, want_fit.beta, rtol=RTOL, atol=0.0)
+    assert np.allclose(fit.fitted_means[visits], want_fit.fitted_means,
+                       rtol=RTOL, atol=0.0)
+    assert fit.n_iter == want_fit.n_iter
     if want_w is None:
         assert w is None
         return True
-    for field in ("weights", "gamma"):
-        assert np.array_equal(getattr(w, field), getattr(want_w, field))
+    copies = np.bincount(patients, minlength=ds.n_patients)
+    own = copies[ds.patient_index[prepared.visit_rows]]
+    assert np.array_equal(w.weights == 0.0, own == 0)
+    assert np.allclose(w.weights[visits] / own[visits], want_w.weights,
+                       rtol=RTOL, atol=0.0)
+    assert np.allclose(w.gamma, want_w.gamma, rtol=RTOL, atol=0.0)
     assert (w.kind, w.names, w.phi) == (want_w.kind, want_w.names, want_w.phi)
     if want_w.balance_residuals is not None:
-        assert np.array_equal(w.balance_residuals, want_w.balance_residuals)
-        assert w.max_abs_residual == want_w.max_abs_residual
+        # both are rounding noise below the solver's tolerance
+        assert np.allclose(w.balance_residuals, want_w.balance_residuals,
+                           rtol=0.0, atol=RTOL)
     return True
 
 
@@ -508,6 +551,96 @@ def test_prepared_resamples_match_take_patients(name):
         ok = [same_pass(prepared, ds, cfg, d, phi)
               for phi in (0.0, 0.4) for d in draws]
     assert sum(ok) > len(ok) // 2
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+@pytest.mark.parametrize("phi", [0.0, 0.4])
+def test_identity_resample_is_analyze_once(name, phi):
+    # every copy 1: every pair weight and Q factor is 1.0, so each sum runs
+    # as in analyze_once and gives the same bits
+    ds = parity_dataset()
+    cfg = PARITY_CONFIGS[name]
+    stages = _ResampleStages(_Prepared(ds, cfg), np.ones(ds.n_patients, np.int64))
+    assert_same_pass(stages, ds, cfg, phi)
+
+
+def test_identity_resample_fails_as_analyze_once():
+    # phi = 200 overflows the selection values of the whole data
+    ds = overflow_dataset()
+    cfg = mle_config()
+    stages = _ResampleStages(_Prepared(ds, cfg), np.ones(ds.n_patients, np.int64))
+    assert_same_pass(stages, ds, cfg, 200.0)
+
+
+def assert_same_pass(stages, ds, cfg, phi):
+    """``stages.analyze(phi)`` equals ``analyze_once(ds, cfg, phi)`` bit for
+    bit, or fails with the same type, stage and message."""
+    try:
+        want = analyze_once(ds, cfg, phi)
+    except IrrvisError as exc:
+        with pytest.raises(IrrvisError) as err:
+            stages.analyze(phi)
+        same_failure(err.value, exc)
+        return
+    got = stages.analyze(phi)
+    for field in ("beta", "fitted_means"):
+        assert np.array_equal(getattr(got[0], field), getattr(want[0], field))
+    assert (got[0].n_iter, got[0].max_eq_norm) == (want[0].n_iter, want[0].max_eq_norm)
+    assert (got.visit_model is None) == (want.visit_model is None)
+    if want.visit_model is not None:
+        for field in ("gamma", "increments", "event_times"):
+            assert np.array_equal(getattr(got.visit_model, field),
+                                  getattr(want.visit_model, field))
+        assert got.visit_model.loglik == want.visit_model.loglik
+    if want[1] is None:
+        assert got[1] is None
+        return
+    for field in ("weights", "gamma", "balance_residuals"):
+        assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
+    assert (got[1].names, got[1].max_abs_residual) == (want[1].names,
+                                                       want[1].max_abs_residual)
+
+
+def late_dataset():
+    """Two of six patients followed past t = 4, with visits there; the
+    others leave at 4.  ``flag`` marks the two."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for pid in range(6):
+        late = pid >= 4
+        cov = {"z1": float(rng.normal()), "z2": float(rng.normal()),
+               "flag": float(late)}
+        visits = {k: float(rng.normal()) for k in range(1, 5) if rng.random() < 0.6}
+        if late:
+            visits.update({5: float(rng.normal()), 6 + (pid == 5): 0.5})
+        rows += grid_rows(f"p{pid}", cov, visits, n_periods=8 if late else 4)
+    return Dataset.from_rows(rows, tau=8.0)
+
+
+@pytest.mark.parametrize("name", ["mle", "mle-std", "balancing", "balancing-std"])
+@pytest.mark.parametrize("case", ["bootstrap without the late patients",
+                                  "deletion of an event's only visitor"])
+def test_resample_events_without_weight_match_take_patients(name, case):
+    # the resample keeps every event time of the whole data; those it has
+    # no visit at get A_k = 0, and those it has no patient at risk at get
+    # an S0 of 0 as well, and every one of their terms must stay an exact
+    # zero (no 0/0 and no log 0) for the fit to equal take_patients'
+    cfg = PARITY_CONFIGS[name]
+    if case.startswith("bootstrap"):
+        ds = late_dataset()
+        draw = np.array([0, 0, 1, 2, 3, 3])           # nobody at risk past 4
+    else:
+        ds = parity_dataset()
+        alone = ds.patient_ids.index("alone")           # the only visit at 2.5
+        draw = np.delete(np.arange(ds.n_patients), alone)
+    prepared = _Prepared(ds, cfg)
+    copies = np.bincount(draw, minlength=ds.n_patients)
+    events = prepared.rs.weighted(copies[prepared.pair_patient].astype(float),
+                                  draw.size)
+    visited = np.isin(events.event_times, ds.take_patients(draw).event_times())
+    assert not visited.all()
+    for phi in (0.0, 0.4):
+        assert same_pass(prepared, ds, cfg, draw, phi)
 
 
 def warm_start(prepared, phi):
@@ -571,19 +704,20 @@ def test_sweep_se_equals_standalone_resampling(resampling):
 
 
 
-def test_sweep_gathers_each_resample_once(monkeypatch):
-    # each deletion is gathered once, for all three phi, and the warm starts
-    # come from the point fits: n structures, where phi by phi would take 3n
+def test_sweep_weights_each_resample_once(monkeypatch):
+    # each deletion weights the prepared structure once, for all three phi,
+    # and the warm starts come from the point fits: n weighted structures,
+    # where phi by phi would take 3n
     ds = random_panel(6, n_patients=8, p_visit=0.6)
     cfg = mle_config(phi_grid=(-0.5, 0.0, 0.5), resampling=Resampling("jackknife"))
     calls = []
-    subset = RiskStructure.subset
+    weighted = RiskStructure.weighted
 
     def counted(self, *args):
         calls.append(args)
-        return subset(self, *args)
+        return weighted(self, *args)
 
-    monkeypatch.setattr(RiskStructure, "subset", counted)
+    monkeypatch.setattr(RiskStructure, "weighted", counted)
     res = sweep(ds, cfg)
     assert all(r["converged"] and np.isfinite(r["se"]) for r in res.rows)
     assert len(calls) == ds.n_patients

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import drawn_positions, grid_rows, random_panel, two_patient_dataset
+from helpers import grid_rows, random_panel, two_patient_dataset
 from irrvis import Dataset, NumericError, ScenarioConfig, ValidationError
 from irrvis.riskset import RiskStructure
 from irrvis.rng import substream
@@ -49,36 +49,6 @@ def test_pairs_match_brute_force_on_random_panels(seed):
     times, pairs = brute_force_pairs(ds)
     assert np.array_equal(rs.event_times, times)
     assert_event_major(rs, pairs)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000),
-       st.lists(st.integers(0, 2), min_size=6, max_size=6).filter(any))
-def test_subset_is_the_structure_of_the_taken_patients(seed, copies):
-    ds = random_panel(seed, n_patients=6, n_periods=4, p_visit=0.3)
-    full = RiskStructure(ds)
-    bounds = ds.patient_row_bounds
-    draw = np.repeat(np.arange(6), copies)
-    rows = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in draw])
-    pair_copies = np.asarray(copies)[ds.patient_index[full.cover_row]]
-    visits = drawn_positions(full.visit_rows, bounds, draw)
-
-    sub = ds.take_patients(draw)
-    if not sub.visit.any():
-        with pytest.raises(ValidationError, match="no visits"):
-            full.subset(pair_copies, visits, len(draw))
-        return
-    want = RiskStructure(sub)
-    got, kept = full.subset(pair_copies, visits, len(draw))
-    assert (got.n, got.K) == (want.n, want.K)
-    assert np.array_equal(got.event_times, want.event_times)
-    assert np.array_equal(got.cover_event, want.cover_event)
-    assert np.array_equal(got.cover_row, rows[want.cover_row])
-    assert np.array_equal(full.cover_row[kept], got.cover_row)
-    assert np.array_equal(got.visit_rows, rows[want.visit_rows])
-    assert np.array_equal(got.visit_event, want.visit_event)
-    assert np.array_equal(got.event_counts, want.event_counts)
-    assert np.array_equal(got.event_starts, want.event_starts)
 
 
 def test_censored_rows_carry_no_pairs():
@@ -196,6 +166,20 @@ def test_cover_times_expand_event_axis():
     assert np.array_equal(rs.cover_times(), rs.event_times[rs.cover_event])
 
 
+def test_weighted_structure_shares_every_array_but_its_weights():
+    ds = two_patient_dataset()
+    rs = RiskStructure(ds)
+    grid = RiskStructure.grid(np.array([1.0, 2.0]), 2, np.array([1, 0, 0, 1], bool))
+    assert rs.pair_weight is None and grid.pair_weight is None
+    weight = np.arange(rs.cover_row.size, dtype=np.float64)
+    got = rs.weighted(weight, 3)
+    assert (got.n, rs.n) == (3, ds.n_patients)
+    assert got.pair_weight is weight and rs.pair_weight is None
+    for name in ("event_times", "cover_row", "cover_event", "event_counts",
+                 "event_starts", "visit_rows", "visit_event"):
+        assert getattr(got, name) is getattr(rs, name)
+
+
 def test_no_visits_rejected():
     rows = grid_rows("a", {"z": 0.0}, {}, n_periods=2)
     with pytest.raises(ValidationError, match="no visits"):
@@ -208,14 +192,3 @@ def test_check_positive():
         RiskStructure.check_positive(np.array([1.0, 0.0]))
     with pytest.raises(NumericError, match="zero or non-finite"):
         RiskStructure.check_positive(np.array([np.inf, 1.0]))
-
-
-def test_subset_without_an_events_pairs_is_rejected():
-    # a subset keeps an event for each of its visits; dropping the pairs of
-    # a visited event would leave that event's segment empty
-    ds = two_patient_dataset()
-    rs = RiskStructure(ds)
-    visits = np.arange(rs.visit_rows.size)
-    copies = (rs.cover_event != rs.visit_event[0]).astype(np.int64)
-    with pytest.raises(NumericError, match="empty risk set"):
-        rs.subset(copies, visits, ds.n_patients)

@@ -49,6 +49,13 @@ def test_config_validation():
                 cont_cfg(**{key: value})
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70])
+def test_config_rejects_a_seed_beyond_the_stream_key(seed):
+    with pytest.raises(ValidationError, match="seed must be non-negative, below 2"):
+        cont_cfg(seed=seed)
+    cont_cfg(seed=2 ** 64 - 1)
+
+
 def test_config_derived_specs():
     c = cont_cfg()
     assert c.selection().transform == "identity"
