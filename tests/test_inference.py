@@ -634,10 +634,7 @@ def test_resample_events_without_weight_match_take_patients(name, case):
         alone = ds.patient_ids.index("alone")           # the only visit at 2.5
         draw = np.delete(np.arange(ds.n_patients), alone)
     prepared = _Prepared(ds, cfg)
-    copies = np.bincount(draw, minlength=ds.n_patients)
-    events = prepared.rs.weighted(copies[prepared.pair_patient].astype(float),
-                                  draw.size)
-    visited = np.isin(events.event_times, ds.take_patients(draw).event_times())
+    visited = np.isin(prepared.rs.event_times, ds.take_patients(draw).event_times())
     assert not visited.all()
     for phi in (0.0, 0.4):
         assert same_pass(prepared, ds, cfg, draw, phi)
