@@ -23,6 +23,7 @@ logistic variance pi^2/3.  The procedure:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 from .cox import fit_cox
 from .data import Dataset, _format_float, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
-from .errors import NumericError, ValidationError, _stage
+from .errors import NumericError, ValidationError, _require_integers, _stage
 from .riskset import RiskStructure
 from .weights import SelectionSpec
 
@@ -77,6 +78,7 @@ def natural_spline_basis(x: np.ndarray, df: int) -> np.ndarray:
     linear beyond the boundary knots.  Any basis spanning the same space
     gives the same regression residuals, which is all calibration uses.
     """
+    _require_integers("spline", df=df)
     if df < 1:
         raise ValidationError("spline degrees of freedom must be at least 1")
     x = np.asarray(x, dtype=np.float64)
@@ -159,6 +161,8 @@ def calibrate(dataset: Dataset, zspec: ModelMatrixSpec, sel_transform: str,
         Override for the target share; defaults to the partial r-squared
         of the history given time (the conservative equality choice).
     """
+    if isinstance(target_rho2, bool) or not isinstance(target_rho2, (numbers.Real, type(None))):
+        raise ValidationError(f"target_rho2 must be a real number, got {target_rho2!r}")
     if int(dataset.visit.sum()) < 2:
         raise ValidationError("calibration needs at least two visits")
     selection = SelectionSpec(transform=sel_transform)
@@ -170,7 +174,7 @@ def calibrate(dataset: Dataset, zspec: ModelMatrixSpec, sel_transform: str,
     rs = RiskStructure(dataset)
     bound = BoundDesign(dataset, zspec)
     eta = bound.evaluate(dataset, rs.cover_row, rs.cover_times()) @ cox.gamma
-    log_p_full = eta + np.log(cox.increments)[rs.cover_event]
+    log_p_full = eta + np.repeat(np.log(cox.increments), rs.event_counts)
     if np.any(np.exp(log_p_full) > 0.2):
         warnings.warn("calibration premise strained: an interval visit "
                       "probability exceeds 0.2; the logistic-scale "
@@ -188,7 +192,7 @@ def calibrate(dataset: Dataset, zspec: ModelMatrixSpec, sel_transform: str,
     # (d, e) covariate-free baseline: events over risk-set size
     d_k = rs.pooled_visit_sum(np.ones(rs.visit_rows.size))
     r_k = rs.event_counts
-    log_p_null = np.log(d_k / r_k)[rs.cover_event]
+    log_p_null = np.repeat(np.log(d_k / r_k), r_k)
     var_null = float(log_p_null.var(ddof=1)) if log_p_null.size > 1 else 0.0
     rho2_null = implicit_r2(var_null)
 

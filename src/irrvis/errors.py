@@ -5,6 +5,7 @@ problems (failed solves) are kept on separate branches so callers, in
 particular the command line interface, can map them to distinct exit codes.
 """
 
+import math
 import numbers
 
 
@@ -64,3 +65,11 @@ def _require_integers(owner, **values):
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValidationError(f"{owner} {name} must be an integer, got {value!r}")
+
+
+def _require_finite(**values):
+    """Raise ValidationError unless every value is a finite real; a bool is not."""
+    for name, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValidationError(f"{name} must be finite and real, got {value!r}")

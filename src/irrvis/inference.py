@@ -52,7 +52,7 @@ from .cox import fit_cox
 from .data import Dataset, _blocks, _format_float, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
 from .errors import (IrrvisError, NumericError, ValidationError,
-                     _require_integers, _stage)
+                     _require_finite, _require_integers, _stage)
 from .gee import MarginalModelSpec, fit_weighted_gee
 from .riskset import RiskStructure
 from .rng import substream
@@ -131,6 +131,7 @@ def analyze_once(dataset: Dataset, config: AnalysisConfig, phi: float):
     fails the same way at every phi, so the sweep must not absorb it
     into a NaN row.
     """
+    _require_finite(phi=phi)
     return _run_stages(_DatasetStages(dataset, config), config, phi)
 
 

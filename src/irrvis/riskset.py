@@ -2,13 +2,13 @@
 
 An at-risk row ``(start, end]`` covers every distinct visit time ``s`` with
 ``start < s <= end``.  The (row, event) incidence pairs are materialized
-once per dataset and stored event-major: sorted by event, and within an
-event in dataset row order.  The pairs of one event are then a contiguous
-segment; sums over risk sets are ``numpy.add.reduceat`` over the segment
-starts of per-pair rows, in ranges of bounded size (``blocks``) and in a
-fixed order, so results are reproducible.  The ``grid`` form, where every
-patient is at risk at each of fixed times, keeps its pairs implicit; the
-``complete_grid`` form builds the explicit pairs of such a panel, stored
+once per dataset as rows stored event-major: sorted by event, and within an
+event in dataset row order.  The pairs of one event are then a segment of
+known length; sums over risk sets are ``numpy.add.reduceat`` over the
+segment starts of per-pair rows, in ranges of bounded size (``blocks``) and
+in a fixed order, so results are reproducible.  The ``grid`` form, where
+every patient is at risk at each of fixed times, keeps its pairs implicit;
+the ``complete_grid`` form builds the explicit pairs of such a panel, stored
 patient-major as a dataset, in closed form.
 
 For an empty segment ``reduceat`` returns the element at its start, not
@@ -45,10 +45,10 @@ class RiskStructure:
     cover_row : ndarray of int64, shape (M,)
         Dataset row index of each incidence pair.  Pairs are event-major:
         sorted by event, and by dataset row within an event.
-    cover_event : ndarray of int64, shape (M,)
-        Event index of each pair, non-decreasing.
     event_counts : ndarray of int64, shape (K,)
-        Number of pairs of each event, all at least 1.
+        Number of pairs of each event, all at least 1.  Pair ``j``'s event
+        index is ``np.repeat(np.arange(K), event_counts)[j]``; no array of
+        it is kept.
     event_starts : ndarray of int64, shape (K,)
         Position of each event's first pair; event ``k`` holds pairs
         ``event_starts[k] : event_starts[k] + event_counts[k]``.
@@ -75,33 +75,27 @@ class RiskStructure:
         lo = np.searchsorted(self.event_times, dataset.start[risk_rows], side="right")
         hi = np.searchsorted(self.event_times, dataset.end[risk_rows], side="right")
         counts = hi - lo
-        keep = counts > 0
-        risk_rows, lo, counts = risk_rows[keep], lo[keep], counts[keep]
-        cover_row = np.repeat(risk_rows, counts)
-        # concatenated ranges lo[i] .. lo[i]+counts[i]
+        # concatenated ranges lo[i] .. hi[i] - 1
         ends = np.cumsum(counts)
-        offsets = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-        cover_event = np.repeat(lo, counts) + offsets
-        order = np.argsort(cover_event, kind="stable")
-        self.cover_row = cover_row[order]
-        self.cover_event = cover_event[order]
+        event = np.arange(ends[-1]) + np.repeat(hi - ends, counts)
+        self.cover_row = np.repeat(risk_rows, counts)[np.argsort(event, kind="stable")]
         self.visit_rows = dataset.visit_row_indices()
         self.visit_event = np.searchsorted(self.event_times, dataset.end[self.visit_rows])
-        self._index_events()
+        self._index_events(np.bincount(event, minlength=self.K))
 
     @classmethod
     def grid(cls, times: np.ndarray, n: int, visit: np.ndarray):
         """Grid form: ``n`` patients at risk at each of ``times``, with pair
         ``k * n + i`` (patient ``i`` at time ``k``) flagged by ``visit[k * n + i]``
-        and no ``cover_row`` or ``cover_event``.  ``visit_rows`` are pair
-        numbers; a time without a visit stays, with a zero pooled sum."""
+        and no ``cover_row``.  ``visit_rows`` are pair numbers; a time
+        without a visit stays, with a zero pooled sum."""
         visit_rows = np.flatnonzero(visit)
         if visit_rows.size == 0:
             raise ValidationError("dataset has no visits")
         out = object.__new__(cls)
         out.n, out.event_times, out.K = int(n), times, len(times)
-        out.event_counts, out.event_starts = np.full(out.K, n), np.arange(out.K) * n
         out.visit_rows, out.visit_event = visit_rows, visit_rows // n
+        out._index_events(np.full(out.K, n))
         return out
 
     @classmethod
@@ -119,15 +113,14 @@ class RiskStructure:
         out = object.__new__(cls)
         out.n, out.event_times, out.K = int(n), times[kk], int(kk.size)
         out.cover_row = (kk[:, None] + width * np.arange(n)).ravel()
-        out.cover_event = np.repeat(np.arange(out.K), n)
         out.visit_rows = np.flatnonzero(visit)
         out.visit_event = (np.cumsum(visited) - 1)[out.visit_rows % width]
-        out._index_events()
+        out._index_events(np.full(out.K, n))
         return out
 
-    def _index_events(self) -> None:
-        """Set ``event_counts`` and ``event_starts`` from ``cover_event``."""
-        self.event_counts = np.bincount(self.cover_event, minlength=self.K)
+    def _index_events(self, counts: np.ndarray) -> None:
+        """Set ``event_counts`` to ``counts`` and ``event_starts`` from them."""
+        self.event_counts = counts
         if not self.event_counts.all():
             raise NumericError(
                 "an event time has an empty risk set; check at_risk flags")

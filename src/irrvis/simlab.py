@@ -10,9 +10,9 @@ marginal coefficients.
 Every simulated patient is at risk on every grid interval, so a
 replicate's :class:`~irrvis.riskset.RiskStructure` is built in closed form
 from its visit grid rather than by searching the dataset's rows.  A draw
-skips the transformed covariates wherever nothing reads them: in the
-``correctZ`` cells' replicates, in :func:`complete_data_fit` and in
-:func:`limiting_phi` with the correct covariates.
+skips what nothing reads: the transformed covariates in the ``correctZ``
+cells' replicates, in :func:`complete_data_fit` and in :func:`limiting_phi`
+with the correct covariates, and S(y) wherever it returns whole arrays.
 
 The complete-data estimator sees the outcome at every grid time.  Its
 marginal design (1, X, t) has only 2 * N_GRID distinct rows, so both the
@@ -52,8 +52,6 @@ started fit fails, it starts at zero.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -69,7 +67,8 @@ from .cox import _fit as _fit_intensity
 from .cox import fit_cox  # noqa: F401
 from .data import Dataset, _format_float, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
-from .errors import IrrvisError, NumericError, ValidationError, _require_integers
+from .errors import (IrrvisError, NumericError, ValidationError, _require_finite,
+                     _require_integers)
 from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
 from .gee import _fit as _fit_marginal
 from .riskset import RiskStructure
@@ -123,10 +122,7 @@ class ScenarioConfig:
             raise ValidationError("outcome must be continuous or count")
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"scenario must be one of {SCENARIOS}")
-        for key, value in (("gamma_z", self.gamma_z), ("phi_true", self.phi_true)):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValidationError(f"{key} must be finite and real, got {value!r}")
+        _require_finite(gamma_z=self.gamma_z, phi_true=self.phi_true)
         _require_integers("scenario", n=self.n, n_reps=self.n_reps, seed=self.seed)
         if self.n < 2:
             raise ValidationError("n must be at least 2")
@@ -157,8 +153,8 @@ class ScenarioConfig:
 
 class _Arrays:
     """The :func:`_draw_panel` writer that gathers each quantity's tiles into
-    one whole ``(n, N_GRID)`` array.  ``drawn`` holds them in draw order; an
-    array is made when its first tile comes."""
+    one whole ``(n, N_GRID)`` array, but keeps no S(y).  ``drawn`` holds
+    them in draw order; an array is made when its first tile comes."""
 
     def __init__(self, n: int):
         self.n = n
@@ -172,10 +168,6 @@ class _Arrays:
 
     def outcome(self, rows, x, z1, z2, y, s_y) -> None:
         self._put(rows, y=y)
-        if s_y is y:                        # a continuous outcome is its S(y)
-            self.drawn["s_y"] = self.drawn["y"]
-        elif s_y is not None:
-            self._put(rows, s_y=s_y)
 
     def visit(self, rows, visit) -> None:
         self._put(rows, visit=visit)
@@ -186,8 +178,8 @@ class _Arrays:
 
 def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int,
                 transformed: bool = True, write=None, visits: bool = True):
-    """Raw per-patient-by-grid draws: x, z1, z2, y, s_y, visit, then z1s and
-    z2s where ``transformed``.
+    """Raw per-patient-by-grid draws: x, z1, z2, y, visit, then z1s and z2s
+    where ``transformed``.
 
     With ``t`` the grid times, ``y = 5 + z1 + z2 - z1 z2 / 2 - 2x - t/2 + eps``
     for a continuous outcome, and a gamma-Poisson count with mean
@@ -206,13 +198,13 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int,
     uniforms and flags, and the last the transformed covariates.  Only the
     probabilities (for a count, first the Poisson rates) are held whole
     between passes, so a draw holds three float64 ``(n, N_GRID)`` arrays,
-    z1, z2 and the probabilities, besides what ``write`` keeps.  ``write`` gets each tile as it is made, by
-    ``write.outcome(rows, x, z1, z2, y, s_y)``, ``write.visit(rows, visit)``
-    and ``write.transformed(rows, z1s, z2s)``, ``rows`` the tile's slice of
-    patients; its arrays are buffers reused by the next tile.  With no
-    ``write``, the draw returns whole arrays (see :class:`_Arrays`): it then
-    holds at most five such arrays for a continuous outcome and six for a
-    count, counting those it returns.
+    z1, z2 and the probabilities, besides what ``write`` keeps.  ``write``
+    gets each tile as it is made, by ``write.outcome(rows, x, z1, z2, y,
+    s_y)``, ``write.visit(rows, visit)`` and ``write.transformed(rows, z1s,
+    z2s)``, ``rows`` the tile's slice of patients; its arrays are buffers
+    reused by the next tile.  With no ``write``, the draw returns whole
+    arrays but S(y) (see :class:`_Arrays`), and holds at most five such
+    arrays, counting those it returns.
 
     ``z ~ N(-x, 1)`` is drawn as a standard normal less ``x``, and the gamma
     rate as a standard gamma times its scale: numpy's ``normal`` and
@@ -220,7 +212,7 @@ def _draw_panel(cfg: ScenarioConfig, rng: np.random.Generator, n: int,
     stream, which are the same floats.  The transformed covariates' noise
     is the last draw, so leaving them out (``transformed=False``, for the
     callers that read only z1, z2, x, y and the visits) changes no other
-    draw; the draw then returns six arrays, not eight.  The visit uniforms
+    draw; the draw then returns five arrays, not seven.  The visit uniforms
     come after the outcome's draws, so a draw without ``visits`` ends after
     the outcome, changing none of its draws: it neither computes S(y) and
     the visit probabilities nor draws the visits and the transformed
@@ -322,8 +314,7 @@ def _replicate(cfg: ScenarioConfig, rep: int, transformed: bool = True):
     """Replicate ``rep``'s draws and the observed dataset built from them,
     with the transformed covariates where ``transformed``."""
     draws = _draw_panel(cfg, substream(cfg.seed, rep), cfg.n, transformed)
-    x, z1, z2, y, _, visit, *zs = draws
-    return draws, _panel_dataset(x, z1, z2, y, visit, *zs)
+    return draws, _panel_dataset(*draws)
 
 
 def generate(cfg: ScenarioConfig, rep: int):
@@ -340,7 +331,7 @@ def generate(cfg: ScenarioConfig, rep: int):
     _require_integers("generate", rep=rep)
     if not 0 <= rep < _LIMITING_STREAM_BASE:
         raise ValidationError(f"generate rep must be in [0, 2**32), got {rep!r}")
-    (x, z1, z2, y, _, visit, *zs), observed = _replicate(cfg, rep)
+    (x, z1, z2, y, visit, *zs), observed = _replicate(cfg, rep)
     complete = _panel_dataset(x, z1, z2, y, np.ones_like(visit), *zs)
     return observed, complete
 
@@ -459,6 +450,8 @@ def limiting_phi(cfg: ScenarioConfig, n_large: int = 100_000,
     function fails where a fit from zero fails.
     """
     _require_n_large(n_large)
+    if not isinstance(correct_covariates, (bool, np.bool_)):
+        raise ValidationError(f"correct_covariates must be a bool, got {correct_covariates!r}")
     design, visit = _limiting_design(cfg, n_large, correct_covariates)
     start = None
     if n_large >= 10 * _PILOT_PATIENTS:
@@ -582,7 +575,7 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
     are not drawn and the dataset carries z1, z2 and x only.
     """
     transformed = "z1s" in cfg.weight_covariates()
-    (x, _, _, y, _, visit, *_), observed = _replicate(cfg, rep, transformed)
+    (x, _, _, y, visit, *_), observed = _replicate(cfg, rep, transformed)
     model = cfg.marginal_model()
     out: dict = {}
     residual = None

@@ -39,7 +39,7 @@ from .cox import CoxFit, QValues
 from .data import Dataset, _csv_cells, _reprs
 from .design import BoundDesign, ModelMatrixSpec
 from .errors import (BalanceInfeasibleError, NumericError, RankDeficiencyError,
-                     ValidationError)
+                     ValidationError, _require_finite)
 from .riskset import RiskStructure
 
 __all__ = ["SelectionSpec", "BalanceSpec", "WeightSet", "q_values",
@@ -113,8 +113,7 @@ def q_values(dataset: Dataset, selection: SelectionSpec, phi: float) -> QValues:
 
 def _selection_factors(y: np.ndarray, selection: SelectionSpec, phi: float) -> QValues:
     """:func:`q_values` on the outcomes of the visit rows."""
-    if not np.isfinite(phi):
-        raise ValidationError("phi must be finite")
+    _require_finite(phi=phi)
     with np.errstate(over="ignore"):
         values = np.exp(-float(phi) * selection.apply(y))
     # overflow (or underflow to 0) is a property of this phi, not bad usage

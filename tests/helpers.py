@@ -90,3 +90,9 @@ def build_design(dataset, spec, subset="all"):
     its own endpoint."""
     bound = BoundDesign(dataset, spec, subset)
     return bound.evaluate(dataset, _subset_rows(dataset, subset)), list(bound.names)
+
+
+def pair_events(rs):
+    """The event index of each of ``rs``'s incidence pairs, read off its
+    per-event pair counts."""
+    return np.repeat(np.arange(rs.K), rs.event_counts)

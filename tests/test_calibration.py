@@ -117,6 +117,11 @@ def test_spline_input_validation():
         natural_spline_basis(np.arange(5.0), 0)
     with pytest.raises(ValidationError, match="distinct values"):
         natural_spline_basis(np.full(5, 2.0), 3)
+    for df in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValidationError, match="spline df must be an integer"):
+            natural_spline_basis(np.arange(5.0), df)
+    assert np.array_equal(natural_spline_basis(np.arange(5.0), np.int64(3)),
+                          natural_spline_basis(np.arange(5.0), 3))
 
 
 def test_suggested_grid_is_seven_points_from_zero():
@@ -217,6 +222,27 @@ def test_target_override_feeds_straight_through():
     assert override.phi_abs == pytest.approx(
         phi_from_target(0.25, base.var_log_lambda_dt_full, base.sigma_r),
         rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("key, value, match", [
+    ("time_spline_df", 2.5, "spline df must be an integer"),
+    ("time_spline_df", True, "spline df must be an integer"),
+    ("target_rho2", "x", "target_rho2 must be a real number"),
+    ("target_rho2", True, "target_rho2 must be a real number"),
+])
+def test_calibrate_rejects_a_mistyped_argument(key, value, match):
+    ds = noise_covariate_panel(11, 400)
+    with pytest.raises(ValidationError, match=match):
+        calibrate(ds, ModelMatrixSpec(["z1"]), "identity", **{key: value})
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_calibrate_accepts_numpy_numbers():
+    ds = noise_covariate_panel(11, 400)
+    spec = ModelMatrixSpec(["z1"])
+    want = calibrate(ds, spec, "identity", 5, 0.25)
+    assert calibrate(ds, spec, "identity", np.int64(5), np.float64(0.25)) == want
 
 
 def test_premise_warning_on_high_visit_rates():

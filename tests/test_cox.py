@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import dataset_rows, drawn_positions, grid_rows, random_panel
+from helpers import (dataset_rows, drawn_positions, grid_rows, pair_events,
+                     random_panel)
 from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec, QValues,
                     RankDeficiencyError,
                     ScenarioConfig, SeparationError, ValidationError,
@@ -141,7 +142,7 @@ def test_block_event_sums_match_loops(monkeypatch):
     gamma = np.array([0.3, -0.5, 0.2])
     block = np.random.default_rng(0).normal(size=(3, rs.cover_row.size))
     expect = np.zeros((3, rs.K))
-    for i, k in enumerate(rs.cover_event):
+    for i, k in enumerate(pair_events(rs)):
         expect[:, k] += block[:, i]
     assert rs.event_counts.max() > 3
     whole = _PartialLikelihood(rs, z_cover, z_visit, q).at(gamma)

@@ -251,6 +251,26 @@ def test_jackknife_needs_two_patients():
         jackknife(ds, none_config(), 0.0)
 
 
+@pytest.mark.parametrize("phi", [None, "0.3", True, float("nan"), float("inf")])
+@pytest.mark.parametrize("config", [none_config, mle_config])
+def test_entry_points_reject_a_non_number_phi(config, phi):
+    ds = random_panel(1)
+    for run in (lambda: analyze_once(ds, config(), phi),
+                lambda: jackknife(ds, config(), phi),
+                lambda: bootstrap(ds, config(), phi, 2, 0)):
+        with pytest.raises(ValidationError, match="phi must be finite and real"):
+            run()
+
+
+def test_entry_points_accept_integer_and_numpy_phi():
+    ds = random_panel(1)
+    want = analyze_once(ds, mle_config(), 1.0)[0].beta
+    for phi in (1, np.int64(1), np.float32(1.0)):
+        assert np.array_equal(analyze_once(ds, mle_config(), phi)[0].beta, want)
+    assert np.array_equal(jackknife(ds, mle_config(), np.int64(1)).se,
+                          jackknife(ds, mle_config(), 1.0).se)
+
+
 def test_jackknife_too_few_converged_deletions():
     # a covariate shared by every patient is inestimable in the visit model
     # once any single patient is removed (or at all); deletions cannot fit

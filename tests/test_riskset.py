@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_rows, random_panel, two_patient_dataset
+from helpers import grid_rows, pair_events, random_panel, two_patient_dataset
 from irrvis import Dataset, NumericError, ScenarioConfig, ValidationError
 from irrvis.riskset import RiskStructure
 from irrvis.rng import substream
@@ -25,12 +25,12 @@ def brute_force_pairs(ds):
 def assert_event_major(rs, pairs):
     """``rs`` holds exactly ``pairs`` in their order, with segment indexes
     that match them and no empty event."""
-    assert list(zip(rs.cover_event.tolist(), rs.cover_row.tolist())) == pairs
+    events = pair_events(rs)
+    assert list(zip(events.tolist(), rs.cover_row.tolist())) == pairs
     assert rs.event_counts.shape == rs.event_starts.shape == (rs.K,)
     assert np.all(rs.event_counts >= 1)
-    assert np.array_equal(rs.event_counts, np.bincount(rs.cover_event, minlength=rs.K))
-    assert np.array_equal(rs.event_starts,
-                          np.searchsorted(rs.cover_event, np.arange(rs.K)))
+    assert np.array_equal(rs.event_counts, np.bincount(events, minlength=rs.K))
+    assert np.array_equal(rs.event_starts, np.searchsorted(events, np.arange(rs.K)))
 
 
 def test_pairs_match_brute_force_on_hand_dataset():
@@ -75,8 +75,9 @@ def test_event_sums_match_loops():
     ds = random_panel(42, n_patients=6, n_periods=4)
     rs = RiskStructure(ds)
     vals = np.random.default_rng(0).normal(size=(3, rs.cover_row.size))
+    events = pair_events(rs)
     expect = np.zeros((3, rs.K))
-    for i, k in enumerate(rs.cover_event):
+    for i, k in enumerate(events):
         expect[:, k] += vals[:, i]
     assert rs.event_counts.max() > 5
     for size in (1, 2, 5, 1 << 15):
@@ -86,8 +87,8 @@ def test_event_sums_match_loops():
             # the ranges tile the pairs, each at most size long, and each
             # holds whole events or one piece of an event
             assert lo == lo_next and 0 < hi - lo <= size
-            assert np.array_equal(np.unique(rs.cover_event[lo:hi]), np.arange(k0, k1))
-            assert np.array_equal(rs.cover_event[lo:hi][offsets], np.arange(k0, k1))
+            assert np.array_equal(np.unique(events[lo:hi]), np.arange(k0, k1))
+            assert np.array_equal(events[lo:hi][offsets], np.arange(k0, k1))
             whole = (rs.event_starts[k0] == lo
                      and rs.event_starts[k1 - 1] + rs.event_counts[k1 - 1] == hi)
             assert whole or k1 == k0 + 1
@@ -114,8 +115,8 @@ def test_grid_form_numbers_pairs_time_major():
         RiskStructure.grid(np.array([1.0, 2.0, 3.0]), 4, np.zeros(12, dtype=bool))
 
 
-STRUCTURE_ARRAYS = ("event_times", "cover_row", "cover_event", "event_counts",
-                    "event_starts", "visit_rows", "visit_event")
+STRUCTURE_ARRAYS = ("event_times", "cover_row", "event_counts", "event_starts",
+                    "visit_rows", "visit_event")
 
 
 def panel_draws(outcome, seed, rep, n):
@@ -123,8 +124,7 @@ def panel_draws(outcome, seed, rep, n):
     them, drawn directly, as ``ScenarioConfig`` takes at least two."""
     cfg = ScenarioConfig(outcome=outcome, gamma_z=0.5, phi_true=0.3, n=2,
                          scenario="s3_SF_correctZ", seed=seed)
-    x, z1, z2, y, _, visit, *zs = _draw_panel(cfg, substream(seed, rep), n)
-    return x, z1, z2, y, visit, *zs
+    return _draw_panel(cfg, substream(seed, rep), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,7 +163,7 @@ def test_complete_grid_form_rejects_a_panel_without_visits():
 def test_cover_times_expand_event_axis():
     ds = two_patient_dataset()
     rs = RiskStructure(ds)
-    assert np.array_equal(rs.cover_times(), rs.event_times[rs.cover_event])
+    assert np.array_equal(rs.cover_times(), rs.event_times[pair_events(rs)])
 
 
 def test_weighted_structure_shares_every_array_but_its_weights():
@@ -175,8 +175,7 @@ def test_weighted_structure_shares_every_array_but_its_weights():
     got = rs.weighted(weight, 3)
     assert (got.n, rs.n) == (3, ds.n_patients)
     assert got.pair_weight is weight and rs.pair_weight is None
-    for name in ("event_times", "cover_row", "cover_event", "event_counts",
-                 "event_starts", "visit_rows", "visit_event"):
+    for name in STRUCTURE_ARRAYS:
         assert getattr(got, name) is getattr(rs, name)
 
 

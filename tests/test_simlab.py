@@ -306,6 +306,14 @@ def test_a_failed_pilot_leaves_the_fit_from_zero(monkeypatch, failing, error):
     assert fits[-1] == (n, True) and len(fits) == (2 if failing == "pilot" else 3)
 
 
+def whole_draw(reference):
+    """The arrays of a whole :func:`_draw_panel` draw among the reference
+    draws: all but S(y), which only the visit probabilities and the
+    limiting design read."""
+    x, z1, z2, y, _, *rest = reference
+    return x, z1, z2, y, *rest
+
+
 @settings(max_examples=25, deadline=None)
 @given(outcome=st.sampled_from(["continuous", "count"]),
        gamma_z=st.floats(-2.0, 2.0), phi_true=st.floats(-0.5, 0.5),
@@ -313,7 +321,8 @@ def test_a_failed_pilot_leaves_the_fit_from_zero(monkeypatch, failing, error):
 def test_draw_panel_equals_reference_formulas(outcome, gamma_z, phi_true, seed, n):
     cfg = cont_cfg(outcome=outcome, gamma_z=gamma_z, phi_true=phi_true)
     got = _draw_panel(cfg, substream(seed, 5), n)
-    want = oracles.draw_panel(cfg, substream(seed, 5), n)
+    want = whole_draw(oracles.draw_panel(cfg, substream(seed, 5), n))
+    assert len(got) == len(want) == 7
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -328,7 +337,19 @@ def test_draw_without_transformed_covariates_is_the_full_draw_less_them(
     cfg = cont_cfg(outcome=outcome, gamma_z=gamma_z, phi_true=phi_true)
     full = _draw_panel(cfg, substream(seed, 5), n)
     part = _draw_panel(cfg, substream(seed, 5), n, transformed=False)
-    assert (len(full), len(part)) == (8, 6)
+    assert (len(full), len(part)) == (7, 5)
+    for a, b in zip(part, full):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("outcome", ["continuous", "count"])
+def test_draw_without_visits_is_the_outcome_of_the_full_draw(outcome):
+    # x, z1, z2 and y, with no S(y) for either outcome
+    cfg = cont_cfg(outcome=outcome, gamma_z=1.25, phi_true=0.3)
+    full = _draw_panel(cfg, substream(3, 5), 7)
+    part = _draw_panel(cfg, substream(3, 5), 7, transformed=False, visits=False)
+    assert len(part) == 4
     for a, b in zip(part, full):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -347,8 +368,8 @@ def test_draws_do_not_depend_on_the_tile_size(outcome, transformed, tile, gamma_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simlab, "_TILE", tile)
         got = _draw_panel(cfg, substream(seed, 5), n, transformed)
-    want = oracles.draw_panel(cfg, substream(seed, 5), n)
-    assert len(got) == (8 if transformed else 6)
+    want = whole_draw(oracles.draw_panel(cfg, substream(seed, 5), n))
+    assert len(got) == (7 if transformed else 5)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -539,6 +560,18 @@ def test_large_fits_need_a_patient(n_large):
         limiting_phi(cfg, n_large)
     with pytest.raises(ValidationError, match="n_large must be at least 1"):
         complete_data_fit(cfg, n_large)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None, np.float64(1.0)])
+def test_limiting_phi_rejects_a_non_bool_covariate_choice(value):
+    with pytest.raises(ValidationError, match="correct_covariates must be a bool"):
+        limiting_phi(cont_cfg(phi_true=0.3), 50, correct_covariates=value)
+
+
+def test_limiting_phi_accepts_a_numpy_bool():
+    cfg = cont_cfg(phi_true=0.3)
+    assert (limiting_phi(cfg, 50, correct_covariates=np.bool_(True))
+            == limiting_phi(cfg, 50, correct_covariates=True))
 
 
 def test_config_accepts_numpy_integers():

@@ -67,6 +67,22 @@ def test_non_finite_phi_rejected():
         q_values(ds, SelectionSpec(), float("inf"))
 
 
+@pytest.mark.parametrize("phi", [None, "0.3", True, np.bool_(True), complex(0.3, 0.0)])
+def test_non_number_phi_rejected(phi):
+    ds = random_panel(1)
+    with pytest.raises(ValidationError, match="phi must be finite and real"):
+        q_values(ds, SelectionSpec(), phi)
+
+
+def test_integer_and_numpy_phi_accepted():
+    ds = random_panel(1)
+    want = q_values(ds, SelectionSpec(), 1.0)
+    for phi in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+        got = q_values(ds, SelectionSpec(), phi)
+        assert type(got.phi) is float and got.phi == 1.0
+        assert np.array_equal(got.values, want.values)
+
+
 # -- mle weights -------------------------------------------------------------
 
 
