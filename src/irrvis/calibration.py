@@ -78,9 +78,7 @@ def natural_spline_basis(x: np.ndarray, df: int) -> np.ndarray:
     linear beyond the boundary knots.  Any basis spanning the same space
     gives the same regression residuals, which is all calibration uses.
     """
-    _require_integers("spline", df=df)
-    if df < 1:
-        raise ValidationError("spline degrees of freedom must be at least 1")
+    _check_spline_df(df)
     x = np.asarray(x, dtype=np.float64)
     knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, df + 1)))
     k = knots.size
@@ -98,6 +96,12 @@ def natural_spline_basis(x: np.ndarray, df: int) -> np.ndarray:
     for j in range(k - 2):
         out[:, j + 1] = d(j) - d_last
     return out
+
+
+def _check_spline_df(df) -> None:
+    _require_integers("spline", df=df)
+    if df < 1:
+        raise ValidationError("spline degrees of freedom must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,8 @@ def calibrate(dataset: Dataset, zspec: ModelMatrixSpec, sel_transform: str,
     """
     if isinstance(target_rho2, bool) or not isinstance(target_rho2, (numbers.Real, type(None))):
         raise ValidationError(f"target_rho2 must be a real number, got {target_rho2!r}")
+    # step (h) reads it; a bad value must not cost the visit-model fit first
+    _check_spline_df(time_spline_df)
     if int(dataset.visit.sum()) < 2:
         raise ValidationError("calibration needs at least two visits")
     selection = SelectionSpec(transform=sel_transform)

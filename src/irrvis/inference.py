@@ -231,9 +231,10 @@ class _ResampleStages:
 
     Each pair and each visit row's Q is weighted by its patient's copies
     (so is each row of an unweighted marginal fit), and sums are divided by
-    ``n``, the sum of the copies.  The weighted structure and any design
-    bound on the resample's rows are made on first use and kept; one that
-    fails is not kept and fails the same way again.
+    ``n``, the sum of the copies.  The weighted structure, any design
+    bound on the resample's rows and the pair-weighted per-event sums of
+    the balance design are made on first use and kept; one that fails is
+    not kept and fails the same way again.
     """
 
     def __init__(self, prepared: _Prepared, copies: np.ndarray):
@@ -258,29 +259,34 @@ class _ResampleStages:
         rows = _blocks(self.prepared.dataset.patient_row_bounds, patients)
         return rows[flags[rows]]
 
-    def _design(self, full, spec):
-        """``full``, or where it is None, ``spec`` bound on the resample's
-        at-risk rows and evaluated on the full pairs and visit rows."""
-        if full is not None:
-            return full
+    def _bind(self, spec):
+        """``spec`` bound on the resample's at-risk rows."""
         p = self.prepared
-        bound = BoundDesign(p.dataset, spec, "at_risk", self._rows(p.dataset.at_risk))
-        return p.rs.design(bound, p.dataset)
+        return BoundDesign(p.dataset, spec, "at_risk", self._rows(p.dataset.at_risk))
 
     @cached_property
     def _structure(self):
         """``(weighted RiskStructure, (z on the pairs, z on the visits))``."""
         p = self.prepared
         # fit_cox binds before it needs a visit: a lack of at-risk rows is named first
-        z = self._design(p.z if self.visit_copies.any() else None, p.config.zspec)
+        z = p.z
+        if z is None or not self.visit_copies.any():
+            z = p.rs.design(self._bind(p.config.zspec), p.dataset)
         if not self.visit_copies.any():
             raise ValidationError("dataset has no visits")
         return p.rs.weighted(self.copies[p.pair_patient].astype(np.float64), self.n), z
 
     @cached_property
     def _h(self):
-        """The balance design on the pairs and visit rows."""
-        return self._design(self.prepared.h, self.prepared.config.balance.hspec)
+        """The balance design's per-event sums on the weighted structure
+        (:meth:`RiskStructure.event_sums`) and its rows on the visit rows,
+        shared by every phi."""
+        p = self.prepared
+        rs = self._structure[0]
+        if p.h is None:
+            return rs.design_sums(self._bind(p.config.balance.hspec), p.dataset)
+        h_cover, h_visit = p.h
+        return rs.event_sums(lambda lo, hi: h_cover[lo:hi]), h_visit
 
     @cached_property
     def _x(self):
@@ -445,11 +451,16 @@ _SWEEP_COLUMNS = ("phi", "term", "estimate", "se", "ci_lo", "ci_hi",
 class SweepResult:
     """Long-format sweep table: one row per (phi, term).  ``fits`` maps each
     phi to the ``(CoxFit, WeightSet)`` of its point fit (both None when
-    unweighted), or to the PipelineError that stopped the point fit."""
+    unweighted), or to the PipelineError that stopped the point fit.
+    ``resample_counts`` maps each phi that was resampled (its point fit
+    succeeded) to ``(n_used, n_failed)`` as :class:`ResampleSE` counts
+    them, also where too few resamples fitted for a standard error; it is
+    empty without resampling and not written to the table."""
 
     rows: tuple          # dicts keyed by _SWEEP_COLUMNS
     names: tuple
     fits: dict = field(default_factory=dict, compare=False, repr=False)
+    resample_counts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_csv(self, path) -> None:
         _write_csv(path, _SWEEP_COLUMNS, (
@@ -471,24 +482,28 @@ def _weight_summary(wset: Optional[WeightSet]):
 
 
 def _sweep_ses(dataset: Dataset, config: AnalysisConfig, points: dict,
-               n_terms: int) -> dict:
-    """``{phi: standard errors}`` for each phi of the successful point fits
-    ``points`` whose resampling succeeds, all NaN without resampling: one
-    pass of :func:`_refits`, each phi summarized as :func:`jackknife` or
-    :func:`bootstrap` would summarize it."""
+               n_terms: int) -> tuple:
+    """``({phi: standard errors}, {phi: (n_used, n_failed)})``: the first
+    for each phi of the successful point fits ``points`` whose resampling
+    succeeds, all NaN without resampling, the second for each phi of
+    ``points`` that was resampled.  One pass of :func:`_refits`, each phi
+    summarized as :func:`jackknife` or :func:`bootstrap` would summarize
+    it."""
     resampling = config.resampling
     if resampling.kind == "none":
-        return {phi: np.full(n_terms, np.nan) for phi in points}
+        return {phi: np.full(n_terms, np.nan) for phi in points}, {}
     if not points:
-        return {}
+        return {}, {}
     draws, summary = _resampler(resampling, dataset.n_patients)
-    ses = {}
-    for phi, refit in _refits(_Prepared(dataset, config), draws, points).items():
+    ses, counts = {}, {}
+    for phi, (est, n_failed) in _refits(_Prepared(dataset, config), draws,
+                                        points).items():
+        counts[phi] = (len(est), n_failed)
         try:
-            ses[phi] = summary(*refit).se
+            ses[phi] = summary(est, n_failed).se
         except NumericError:
             pass
-    return ses
+    return ses, counts
 
 
 def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
@@ -505,7 +520,8 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
     A failure at one phi yields NaN rows flagged converged=0 there and
     does not disturb the other grid points.  The result keeps each phi's
     visit model fit and weights, or the PipelineError of a failed point
-    fit; a point fit whose standard errors fail keeps its fits.
+    fit; a point fit whose standard errors fail keeps its fits.  It also
+    keeps how many resamples fitted and failed at each resampled phi.
     """
     names = tuple(config.model.xspec.names)
     points = {}
@@ -517,7 +533,7 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
             fits[phi] = exc
             continue
         fits[phi] = (point.visit_model, point[1])
-    ses = _sweep_ses(dataset, config, points, len(names))
+    ses, counts = _sweep_ses(dataset, config, points, len(names))
     rows = []
     for phi in config.phi_grid:
         if phi not in ses:
@@ -535,4 +551,4 @@ def sweep(dataset: Dataset, config: AnalysisConfig) -> SweepResult:
                              ci_lo=est - _CI_Z * se_j, ci_hi=est + _CI_Z * se_j,
                              weight_min=w_min, weight_median=w_med,
                              weight_max=w_max, converged=True))
-    return SweepResult(tuple(rows), names, fits)
+    return SweepResult(tuple(rows), names, fits, counts)

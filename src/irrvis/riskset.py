@@ -6,7 +6,11 @@ once per dataset as rows stored event-major: sorted by event, and within an
 event in dataset row order.  The pairs of one event are then a segment of
 known length; sums over risk sets are ``numpy.add.reduceat`` over the
 segment starts of per-pair rows, in ranges of bounded size (``blocks``) and
-in a fixed order, so results are reproducible.  The ``grid`` form, where
+in a fixed order, so results are reproducible.  A design that enters only
+through its risk-set sums, such as the balance terms of the balancing
+weights, is summed per event a block of pairs at a time
+(:meth:`RiskStructure.event_sums`, :meth:`RiskStructure.design_sums`) and
+never held on every pair.  The ``grid`` form, where
 every patient is at risk at each of fixed times, keeps its pairs implicit;
 the ``complete_grid`` form builds the explicit pairs of such a panel, stored
 patient-major as a dataset, in closed form.
@@ -33,6 +37,10 @@ from .data import Dataset
 from .errors import NumericError, ValidationError
 
 __all__ = ["RiskStructure"]
+
+# incidence pairs per block of a per-event sum: a block of the design and
+# its factor gathers stay small beside the visit-model design
+_SUM_PAIRS = 4096
 
 
 class RiskStructure:
@@ -142,6 +150,30 @@ class RiskStructure:
         event time, and on the visit rows: ``(on_pairs, on_visits)``."""
         return (bound.evaluate(dataset, self.cover_row, self.cover_times()),
                 bound.evaluate(dataset, self.visit_rows))
+
+    def design_sums(self, bound, dataset: Dataset):
+        """:meth:`design`, but with the design on the pairs summed per event
+        (:meth:`event_sums`): ``(sums, on_visits)``."""
+        times = self.cover_times()
+        sums = self.event_sums(lambda lo, hi: bound.evaluate(
+            dataset, self.cover_row[lo:hi], times[lo:hi]))
+        return sums, bound.evaluate(dataset, self.visit_rows)
+
+    def event_sums(self, block) -> np.ndarray:
+        """Per-event sums, shape ``(K, terms)``, of a design whose rows on
+        pairs ``lo:hi`` are ``block(lo, hi)``, each row weighted by its
+        pair's weight, if any.  The design is made in the :meth:`blocks`
+        of :data:`_SUM_PAIRS` and summed with one ``np.add.reduceat`` per
+        block; the pieces of a split event are added in order."""
+        out = None
+        for lo, hi, k0, k1, offsets in self.blocks(_SUM_PAIRS):
+            values = block(lo, hi).T
+            if self.pair_weight is not None:
+                values = values * self.pair_weight[lo:hi]
+            if out is None:
+                out = np.zeros((values.shape[0], self.K))
+            out[:, k0:k1] += np.add.reduceat(values, offsets, axis=-1)
+        return out.T
 
     def blocks(self, size: int) -> list:
         """Ranges ``(lo, hi, k0, k1, offsets)`` of at most ``size`` pairs that

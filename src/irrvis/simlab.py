@@ -570,7 +570,10 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
     and shared by the visit model and both kinds of weights, through the
     fitting cores those functions call.  The structure is built in closed
     form from the visit grid (:meth:`RiskStructure.complete_grid`), as every
-    simulated patient is at risk on every grid interval.  In the
+    simulated patient is at risk on every grid interval.  The balance terms
+    are summed per event a block of pairs at a time
+    (:meth:`RiskStructure.design_sums`), as :func:`balancing_weights` sums
+    them.  In the
     ``correctZ`` cells nothing reads the transformed covariates, so they
     are not drawn and the dataset carries z1, z2 and x only.
     """
@@ -616,9 +619,8 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
         if "balancing" in estimators:
             try:
                 hspec = ModelMatrixSpec(cfg.balance_terms())
-                h_cover, h_visit = rs.design(BoundDesign(observed, hspec), observed)
-                bal = _balance(_BalanceSystem(rs, h_cover, h_visit, q.values, cox),
-                               hspec, q.phi)
+                h = rs.design_sums(BoundDesign(observed, hspec), observed)
+                bal = _balance(_BalanceSystem(rs, *h, q.values, cox), hspec, q.phi)
                 residual = float(bal.max_abs_residual)
                 out["balancing"] = coef(fit_weighted_gee(observed, model, bal))
             except IrrvisError:

@@ -19,11 +19,17 @@ Three ingredients:
   constant target vector ``T``, so a damped Newton search converges
   globally when a root exists.
 
+The target is ``T = sum_k dLambda_k H_k``, where ``H_k`` sums ``h`` over
+the risk set of event ``k``; only these K per-event sums enter, so the
+balance design is summed per event a block of pairs at a time
+(:meth:`RiskStructure.design_sums`) and is never held on every pair.
+
 ``balance_report`` evaluates the balance conditions under given weights.
 It is a one-shot use of ``_BalanceReport``, which holds what does not
-change with phi (the risk structure, the balance design on its pairs and
-visits, and each term's at-risk standard deviation); the command line
-builds one and reports every phi of a run from it.
+change with phi (the risk structure, the per-event sums of the balance
+design and the design on the visit rows, and each term's at-risk standard
+deviation); the command line builds one and reports every phi of a run
+from it.
 """
 
 from __future__ import annotations
@@ -158,21 +164,18 @@ def _breslow_pair(breslow, structure: RiskStructure):
 class _BalanceSystem:
     """Residual, objective and Jacobian of the balance conditions.
 
-    ``h_cover`` holds the balance terms on the risk structure's incidence
-    pairs and ``h_visit`` on its visit rows; ``breslow`` is as in
-    :func:`balancing_weights`.  Where the structure has pair weights, each
-    pair's increment in the target is weighted by its pair's weight.
+    ``h_sums`` holds the risk-set sums of the balance terms at each of the
+    risk structure's events, shape ``(K, terms)`` (from
+    :meth:`RiskStructure.event_sums`, pair-weighted where the structure
+    has pair weights), and ``h_visit`` the terms on its visit rows;
+    ``breslow`` is as in :func:`balancing_weights`.
     """
 
-    def __init__(self, rs: RiskStructure, h_cover: np.ndarray, h_visit: np.ndarray,
+    def __init__(self, rs: RiskStructure, h_sums: np.ndarray, h_visit: np.ndarray,
                  q_arr: np.ndarray, breslow):
-        inc = _breslow_pair(breslow, rs)
         self.h_visit = h_visit
         # target: sum_k dLambda_k * (risk-set sum of h at event k)
-        per_pair = np.repeat(inc, rs.event_counts)
-        if rs.pair_weight is not None:
-            per_pair *= rs.pair_weight
-        self.target = h_cover.T @ per_pair
+        self.target = _breslow_pair(breslow, rs) @ h_sums
         self.q = q_arr
         self.n = rs.n
 
@@ -213,8 +216,8 @@ def balancing_weights(dataset: Dataset, spec: Union[BalanceSpec, ModelMatrixSpec
         spec = BalanceSpec(hspec=spec)
     q_arr = q.check(int(dataset.visit.sum()))
     rs = RiskStructure(dataset)
-    h_cover, h_visit = rs.design(BoundDesign(dataset, spec.hspec), dataset)
-    system = _BalanceSystem(rs, h_cover, h_visit, q_arr, breslow)
+    system = _BalanceSystem(rs, *rs.design_sums(BoundDesign(dataset, spec.hspec),
+                                                dataset), q_arr, breslow)
     return _balance(system, spec.hspec, q.phi)
 
 
@@ -258,13 +261,16 @@ def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float,
 
 
 class _BalanceReport:
-    """The parts of :func:`balance_report` that do not change with phi."""
+    """The parts of :func:`balance_report` that do not change with phi: the
+    risk structure, the per-event sums of the balance design, shape
+    ``(K, terms)``, the design on the visit rows and each term's at-risk
+    standard deviation."""
 
     def __init__(self, dataset: Dataset, hspec: ModelMatrixSpec):
         self.names = hspec.names
         self.rs = RiskStructure(dataset)
         bound = BoundDesign(dataset, hspec)
-        self.h_cover, self.h_visit = self.rs.design(bound, dataset)
+        self.h_sums, self.h_visit = self.rs.design_sums(bound, dataset)
         h_risk = bound.evaluate(dataset, dataset.at_risk_row_indices())
         # one contiguous column at a time; the design is dropped after
         self.sd = [float(col.std(ddof=1)) if col.size > 1 else 0.0
@@ -272,7 +278,7 @@ class _BalanceReport:
 
     def rows(self, w: np.ndarray, breslow) -> list:
         """:func:`balance_report`'s rows for complete visit weights ``w``."""
-        res = _BalanceSystem(self.rs, self.h_cover, self.h_visit, np.ones_like(w),
+        res = _BalanceSystem(self.rs, self.h_sums, self.h_visit, np.ones_like(w),
                              breslow).residual(w)
         rows = []
         for j, (term, sd) in enumerate(zip(self.names, self.sd)):

@@ -162,6 +162,16 @@ def breslow(dataset, colnames, gamma, q=None):
     return times, inc
 
 
+def balance_target(h_cover, rs, increments):
+    """Target of the balance conditions, pair by pair: the balance terms
+    ``h_cover`` on the incidence pairs of ``rs``, each times its event's
+    baseline increment and its pair weight, if any, summed over the pairs."""
+    per_pair = np.repeat(increments, rs.event_counts)
+    if rs.pair_weight is not None:
+        per_pair = per_pair * rs.pair_weight
+    return h_cover.T @ per_pair
+
+
 def wls(x, y, w):
     """Closed-form weighted least squares through a scaled lstsq."""
     sw = np.sqrt(np.asarray(w, dtype=float))

@@ -8,6 +8,7 @@ from helpers import grid_rows
 from irrvis import (CountingProcessRow, Dataset, ModelMatrixSpec,
                     NumericError, ScenarioConfig, ValidationError, calibrate,
                     generate, implicit_r2, partial_r2, phi_from_target)
+from irrvis import calibration
 from irrvis.calibration import (CalibrationResult, natural_spline_basis,
                                 suggested_grid)
 
@@ -235,6 +236,24 @@ def test_calibrate_rejects_a_mistyped_argument(key, value, match):
     ds = noise_covariate_panel(11, 400)
     with pytest.raises(ValidationError, match=match):
         calibrate(ds, ModelMatrixSpec(["z1"]), "identity", **{key: value})
+
+
+@pytest.mark.parametrize("df, match", [
+    (2.5, "spline df must be an integer"),
+    (True, "spline df must be an integer"),
+    ("3", "spline df must be an integer"),
+    (0, "at least 1"),
+    (-2, "at least 1"),
+])
+def test_calibrate_checks_spline_df_before_the_visit_model_fit(monkeypatch, df,
+                                                                match):
+    def fit_cox(*args, **kwargs):
+        raise AssertionError("the visit model was fitted before the check")
+
+    monkeypatch.setattr(calibration, "fit_cox", fit_cox)
+    ds = noise_covariate_panel(11, 40)
+    with pytest.raises(ValidationError, match=match):
+        calibrate(ds, ModelMatrixSpec(["z1"]), "identity", time_spline_df=df)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import drawn_positions, grid_rows, random_panel
 from irrvis import (AnalysisConfig, BalanceSpec, Dataset, IrrvisError,
                     MarginalModelSpec, ModelMatrixSpec, NumericError,
@@ -15,6 +16,8 @@ from irrvis import (AnalysisConfig, BalanceSpec, Dataset, IrrvisError,
                     ValidationError, analyze_once, bootstrap, fit_weighted_gee,
                     jackknife, sweep, q_values, fit_cox, mle_weights,
                     SelectionSpec, substream)
+from irrvis import riskset, weights
+from irrvis.design import BoundDesign
 from irrvis.inference import _Prepared, _ResampleStages
 from irrvis.riskset import RiskStructure
 
@@ -504,6 +507,48 @@ PARITY_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize("block", [1, 7, riskset._SUM_PAIRS])
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+def test_event_sum_targets_match_the_per_pair_target(monkeypatch, name, block):
+    # blocks of 1 and 7 pairs split every event of the panel into pieces,
+    # of equal and of unequal size; the default holds all events whole in
+    # one block
+    monkeypatch.setattr(riskset, "_SUM_PAIRS", block)
+    ds = parity_dataset()
+    cfg = PARITY_CONFIGS[name]
+    spec = next(s for s in (cfg.hspec, cfg.zspec, cfg.model.xspec) if s is not None)
+    bound = BoundDesign(ds, spec)
+    rs = RiskStructure(ds)
+    assert rs.event_counts.min() > 7 and rs.event_counts.sum() < 4096
+    h_cover, h_visit = rs.design(bound, ds)
+    inc = substream(9, 0).uniform(0.1, 1.0, rs.K)
+    n = ds.n_patients
+    pair_patient = ds.patient_index[rs.cover_row]
+    draws = [np.arange(n) != 3, np.bincount(substream(9, 1).integers(0, n, n),
+                                            minlength=n)]
+    structures = [rs] + [rs.weighted(c[pair_patient].astype(np.float64), c.sum())
+                         for c in draws]
+    for s in structures:
+        want = oracles.balance_target(h_cover, s, inc)
+        scale = oracles.balance_target(np.abs(h_cover), s, inc)
+        for sums in (s.design_sums(bound, ds)[0],
+                     s.event_sums(lambda lo, hi: h_cover[lo:hi])):
+            assert sums.shape == (rs.K, len(spec))
+            target = weights._BalanceSystem(s, sums, h_visit, np.ones(len(h_visit)),
+                                            (rs.event_times, inc)).target
+            assert np.all(np.abs(target - want) <= 1e-13 * scale)
+    if cfg.weight_kind != "balancing":
+        return
+    # a resample's sums, on the prepared pairs or bound on its own rows
+    prepared = _Prepared(ds, cfg)
+    for copies in draws:
+        stages = _ResampleStages(prepared, copies.astype(np.int64))
+        h_pairs = rs.design(stages._bind(cfg.hspec), ds)[0]
+        want = oracles.balance_target(h_pairs, stages._structure[0], inc)
+        scale = oracles.balance_target(np.abs(h_pairs), stages._structure[0], inc)
+        assert np.all(np.abs(inc @ stages._h[0] - want) <= 1e-13 * scale)
+
+
 def resample(prepared, patients, phi, start=None):
     """``analyze_once`` on ``take_patients(np.sort(patients))``, from the
     prepared data: the resample of each patient's copies in ``patients``."""
@@ -721,6 +766,29 @@ def test_sweep_se_equals_standalone_resampling(resampling):
 
 
 
+@pytest.mark.parametrize("resampling", [Resampling("jackknife"),
+                                        Resampling("bootstrap", b=12, seed=3)])
+def test_sweep_keeps_resample_counts_of_standalone_resampling(resampling):
+    # the deletion of the flagged patient fails at every phi
+    ds = flagged_dataset()
+    cfg = mle_config(zspec=ModelMatrixSpec(["z1", "flag"]), phi_grid=(0.0, 0.2),
+                     resampling=resampling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = sweep(ds, cfg)
+        for phi in cfg.phi_grid:
+            if resampling.kind == "jackknife":
+                want = jackknife(ds, cfg, phi)
+                assert want.n_failed == 1
+            else:
+                want = bootstrap(ds, cfg, phi, resampling.b, resampling.seed)
+                assert want.n_failed > 0
+            assert result.resample_counts[phi] == (want.n_used, want.n_failed)
+    assert sorted(result.resample_counts) == list(cfg.phi_grid)
+    assert sweep(ds, dataclasses.replace(cfg, resampling=Resampling())
+                 ).resample_counts == {}
+
+
 def test_sweep_weights_each_resample_once(monkeypatch):
     # each deletion weights the prepared structure once, for all three phi,
     # and the warm starts come from the point fits: n weighted structures,
@@ -837,17 +905,21 @@ def test_resample_without_at_risk_rows_fails_as_take_patients():
     assert not same_pass(_Prepared(ds, cfg), ds, cfg, np.array([2, 2]), 0.0)
 
 
-def test_jackknife_and_bootstrap_match_take_patients_loops():
-    # flag marks one patient, so the deletion of that patient leaves the
-    # visit model singular and fails
+def flagged_dataset():
+    """Five patients; ``flag`` marks one, so with ``flag`` in the visit
+    model the deletion of that patient leaves it singular and fails."""
     rows = []
     for pid, z in enumerate([-1.0, 0.4, 1.2, -0.3, 0.8]):
         visits = {1 + pid % 3: z, 4: 0.5 * z} if pid != 2 else {2: 1.0, 3: 0.0}
         rows += grid_rows(f"p{pid}", {"z1": z, "flag": float(pid == 2)}, visits)
+    return Dataset.from_rows(rows, tau=4.0)
+
+
+def test_jackknife_and_bootstrap_match_take_patients_loops():
     # resamples are warm-started, so the cold take_patients loop gives the
     # same failures and the same SEs to solver tolerance; the warm
     # prepared resamples give them bit for bit
-    ds = Dataset.from_rows(rows, tau=4.0)
+    ds = flagged_dataset()
     cfg = mle_config(zspec=ModelMatrixSpec(["z1", "flag"]))
     prepared = _Prepared(ds, cfg)
     start = warm_start(prepared, 0.2)

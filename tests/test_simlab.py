@@ -12,6 +12,7 @@ from irrvis import (ConvergenceError, Dataset, IrrvisError, MetricsTable,
                     SeparationError, ValidationError, balancing_weights,
                     complete_data_fit, fit_cox, fit_weighted_gee, generate,
                     limiting_phi, mle_weights, q_values, run_study, simlab)
+from irrvis.riskset import RiskStructure
 from irrvis.rng import substream
 from irrvis.simlab import (GRID_TIMES, TAU, TRUE_BETA, _draw_panel,
                            _limiting_design, _run_replicate, _weight_phi)
@@ -489,6 +490,39 @@ def test_replicate_equals_the_public_pipeline(outcome, scenario):
             assert got == want
             failed.update(k for k, v in got[0].items() if v is None)
     assert failed == {"naive", "mle", "balancing"}
+
+
+def test_balancing_step_of_a_replicate_keeps_no_design_on_the_pairs(monkeypatch):
+    # the benchmark's study cell: the balance design is summed per event a
+    # block of pairs at a time, so the step from its per-event sums to the
+    # solved weights never holds the terms on all M incidence pairs
+    cfg = cont_cfg(outcome="count", gamma_z=1.25, phi_true=0.3, n=400,
+                   scenario="s3_SF_correctZ", seed=1)
+    seen = {}
+    design_sums, balance = RiskStructure.design_sums, simlab._balance
+
+    def traced_sums(rs, bound, dataset):
+        seen["pairs"] = rs.cover_row.size
+        tracemalloc.reset_peak()
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+        return design_sums(rs, bound, dataset)
+
+    def traced_balance(system, hspec, phi, start=None):
+        out = balance(system, hspec, phi, start)
+        seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+        seen["terms"] = len(hspec)
+        return out
+
+    monkeypatch.setattr(RiskStructure, "design_sums", traced_sums)
+    monkeypatch.setattr(simlab, "_balance", traced_balance)
+    tracemalloc.start()
+    try:
+        est, _ = _run_replicate(cfg, 0, 0.3, ("balancing",))
+    finally:
+        tracemalloc.stop()
+    assert est["balancing"] is not None
+    assert seen["pairs"] == 400 * 312 and seen["terms"] == 10
+    assert seen["peak"] < 0.5 * seen["pairs"] * seen["terms"] * 8
 
 
 def test_run_study_is_thread_invariant():
