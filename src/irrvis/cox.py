@@ -109,7 +109,8 @@ class _PartialLikelihood:
         self.ranges = rs.blocks(_BLOCK_PAIRS)
         # row 0: exp(eta - shift) per pair; rows 1..p: z times that
         self.work = np.empty((len(self.zt) + 1, min(self.zt.shape[1], _BLOCK_PAIRS)))
-        # (gamma, S0, shifts) of the latest evaluation, for breslow()
+        # (gamma, S0, shifts, S1 / S0) of the latest evaluation, for
+        # breslow() and _ScoreTerms
         self.last = None
 
     def at(self, gamma: np.ndarray):
@@ -146,12 +147,12 @@ class _PartialLikelihood:
                 shift[k0], s0[k0], s1[:, k0] = split[:3]
                 self._check(s0[k0:k0 + 1], k0)
                 second += self.a[k0] / s0[k0] * split[3]
-        self.last = (gamma.copy(), s0, shift)
+        mean = s1 / s0
+        self.last = (gamma.copy(), s0, shift, mean)
         # each shift cancels: A_k log(S0_k e^shift_k) contributes A_k shift_k,
         # matched by the event's share of sum_v Q eta_v
         loglik = (self.q @ (self.z_visit @ gamma)
                   - self.a @ (np.log(s0) + shift)) / rs.n
-        mean = s1 / s0
         score = (self.visit_score - mean @ self.a) / rs.n
         return loglik, score, (second - (mean * self.a) @ mean.T) / rs.n
 
@@ -166,8 +167,41 @@ class _PartialLikelihood:
         evaluation when it was at ``gamma`` (a Newton solve's last one)."""
         if self.last is None or not np.array_equal(self.last[0], gamma):
             self.at(gamma)
-        _, s0, shift = self.last
+        _, s0, shift, _ = self.last
         return self.a / (s0 * np.exp(shift))
+
+
+class _ScoreTerms:
+    """The score of ``pl``, a likelihood on an unweighted structure, at its
+    root ``gamma``, split into the terms of each visit row and each pair.
+
+    With each patient's pairs and visit rows weighted by a weight ``c_i``,
+    the score is homogeneous in the weights, and its derivative in ``c_i``
+    at all weights 1 sums the ``visit`` rows of patient ``i``'s visits,
+    ``Q_v (z_v - zbar_k)``, and the :meth:`pairs` rows of its pairs,
+    ``-A_k share_j (z_j - zbar_k)``.  Its derivative in ``gamma`` is minus
+    ``info``, the information (not divided by ``n``), so the root moves by
+    ``info^-1`` times that sum.  ``zbar`` holds the risk-set means of ``z``,
+    shape ``(p, K)``.
+    """
+
+    def __init__(self, pl: _PartialLikelihood, gamma: np.ndarray):
+        # keeps what the terms read, not pl and its workspace
+        self.rs, self.zt, self.a, self.gamma = pl.rs, pl.zt, pl.a, gamma
+        self.info = pl.at(gamma)[2] * pl.rs.n
+        _, self.s0, self.shift, self.zbar = pl.last
+        self.visit = pl.q[:, None] * (pl.z_visit - self.zbar[:, pl.rs.visit_event].T)
+
+    def shares(self, lo: int, hi: int, events: np.ndarray) -> np.ndarray:
+        """``exp(eta_j) / S0_k`` of pairs ``lo:hi``, of events ``events``."""
+        z = self.zt[:, lo:hi].astype(np.float64, copy=False)
+        return np.exp(self.gamma @ z - self.shift[events]) / self.s0[events]
+
+    def pairs(self, lo: int, hi: int, events: np.ndarray) -> np.ndarray:
+        """The terms of pairs ``lo:hi`` transposed, shape ``(p, hi - lo)``."""
+        z = self.zt[:, lo:hi].astype(np.float64, copy=False)
+        return (z - self.zbar[:, events]) * -(self.a[events]
+                                              * self.shares(lo, hi, events))
 
 
 def _unit_q(dataset: Dataset) -> QValues:

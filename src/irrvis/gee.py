@@ -90,6 +90,24 @@ def _variance_fn(model: MarginalModelSpec, mu: np.ndarray) -> np.ndarray:
     return mu + model.theta * mu * mu
 
 
+def _equation_terms(y: np.ndarray, mu: np.ndarray, model: MarginalModelSpec):
+    """``(r, d)``: each visit row's factor ``r = (d mu / d eta) (y - mu) / v``
+    of the estimating equations ``u = sum_v w_v r_v x_v`` at the means
+    ``mu``, and ``d = -dr/d eta``, so that ``-du/dbeta = sum_v w_v d_v x_v
+    x_v'`` exactly, for every link and working variance."""
+    v = _variance_fn(model, mu)
+    if model.variance == "negative_binomial":
+        dv = 1.0 + 2.0 * model.theta * mu
+    else:
+        dv = 1.0 if model.variance == "poisson" else 0.0
+    # the log link's slope mu is its own derivative in eta
+    slope, bend = (1.0, 0.0) if model.link == "identity" else (mu, mu)
+    resid = y - mu
+    r = slope * resid / v
+    d = (slope * slope - bend * resid) / v + slope * slope * resid * dv / (v * v)
+    return r, d
+
+
 def fit_weighted_gee(dataset: Dataset, model: MarginalModelSpec,
                      weights=None) -> GeeFit:
     """Fit the marginal model on visit rows with the given visit weights.

@@ -10,7 +10,9 @@ in a fixed order, so results are reproducible.  A design that enters only
 through its risk-set sums, such as the balance terms of the balancing
 weights, is summed per event a block of pairs at a time
 (:meth:`RiskStructure.event_sums`, :meth:`RiskStructure.design_sums`) and
-never held on every pair.  The ``grid`` form, where
+never held on every pair; per-patient sums of per-pair terms are taken a
+block of pairs at a time as well (:meth:`RiskStructure.patient_sums`).  The
+``grid`` form, where
 every patient is at risk at each of fixed times, keeps its pairs implicit;
 the ``complete_grid`` form builds the explicit pairs of such a panel, stored
 patient-major as a dataset, in closed form.
@@ -41,6 +43,10 @@ __all__ = ["RiskStructure"]
 # incidence pairs per block of a per-event sum: a block of the design and
 # its factor gathers stay small beside the visit-model design
 _SUM_PAIRS = 4096
+# incidence pairs per block of a per-patient sum, whose terms gather several
+# per-event arrays: smaller still, so that they stay below a Newton solve's
+# workspace
+_PATIENT_PAIRS = 1024
 
 
 class RiskStructure:
@@ -173,6 +179,23 @@ class RiskStructure:
             if out is None:
                 out = np.zeros((values.shape[0], self.K))
             out[:, k0:k1] += np.add.reduceat(values, offsets, axis=-1)
+        return out.T
+
+    def patient_sums(self, block, patient: np.ndarray, n: int) -> np.ndarray:
+        """Per-patient sums, shape ``(n, terms)``, of a design whose rows on
+        pairs ``lo:hi`` are ``block(lo, hi, events).T``, ``events`` being
+        each pair's event index, over the pairs' patients ``patient``.
+        Like :meth:`event_sums`, the design is made a block of pairs at a
+        time, here the :meth:`blocks` of :data:`_PATIENT_PAIRS`, and each
+        block is summed with one ``np.bincount`` per term."""
+        out = None
+        for lo, hi, k0, k1, offsets in self.blocks(_PATIENT_PAIRS):
+            events = np.repeat(np.arange(k0, k1), np.diff(offsets, append=hi - lo))
+            values = block(lo, hi, events)
+            if out is None:
+                out = np.zeros((values.shape[0], n))
+            for total, row in zip(out, values):
+                total += np.bincount(patient[lo:hi], weights=row, minlength=n)
         return out.T
 
     def blocks(self, size: int) -> list:

@@ -28,8 +28,8 @@ balance design is summed per event a block of pairs at a time
 It is a one-shot use of ``_BalanceReport``, which holds what does not
 change with phi (the risk structure, the per-event sums of the balance
 design and the design on the visit rows, and each term's at-risk standard
-deviation); the command line builds one and reports every phi of a run
-from it.
+deviation, merged over blocks of rows); the command line builds one and
+reports every phi of a run from it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ __all__ = ["SelectionSpec", "BalanceSpec", "WeightSet", "q_values",
            "export_weights"]
 
 _SELECTION_TRANSFORMS = ("identity", "log1p")
+
+# at-risk rows per block of the balance report's standard deviations: a
+# block of ten terms stays under 100 KB, which the allocator reuses; blocks
+# of 4 096 rows left the command line's peak resident memory 0.4 MB higher
+_SD_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -260,21 +265,67 @@ def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float,
                      max_abs_residual=float(np.max(np.abs(res))))
 
 
+class _BalanceTerms:
+    """The balance residual at its root ``w = exp(h'b) Q``, split as
+    :class:`cox._ScoreTerms` splits the visit model's score.
+
+    ``h_pairs(lo, hi)`` gives the kept balance terms on pairs ``lo:hi``,
+    ``h_sums`` their risk-set sums ``H_k`` and ``h_visit`` their rows on the
+    visit rows; ``score`` holds the visit model's score terms at the root
+    whose increments ``dLambda_k = A_k / S0_k`` are ``increments``.  With
+    each patient's pairs and visit rows weighted by ``c_i``, the residual
+    ``sum_v c_v w_v h_v - sum_k dLambda_k H_k`` has, at all weights 1:
+
+    * in ``c_i``, the sum of the ``visit`` rows of patient ``i``'s visits,
+      ``w_v h_v - Q_v dLambda_k H_k / A_k``, and of the :meth:`pairs` rows
+      of its pairs, ``-dLambda_k (h_j - share_j H_k)``, since ``dLambda_k``
+      moves with ``A_k`` and ``S0_k``;
+    * in ``b``, ``jacobian = sum_v w_v h_v h_v'``;
+    * in the visit model's ``gamma``, ``cross = sum_k dLambda_k H_k
+      zbar_k'``, through ``dLambda_k``.
+    """
+
+    def __init__(self, h_pairs, h_sums: np.ndarray, h_visit: np.ndarray,
+                 q: np.ndarray, w: np.ndarray, increments: np.ndarray, score):
+        self.h_pairs, self.h_sums, self.increments = h_pairs, h_sums, increments
+        self.score = score
+        self.jacobian = (h_visit.T * w) @ h_visit
+        self.cross = (h_sums.T * increments) @ score.zbar.T
+        event = score.rs.visit_event
+        share = q * increments[event] / score.a[event]
+        self.visit = h_visit * w[:, None] - h_sums[event] * share[:, None]
+
+    def pairs(self, lo: int, hi: int, events: np.ndarray) -> np.ndarray:
+        """The terms of pairs ``lo:hi`` transposed, shape ``(terms, hi - lo)``."""
+        held = self.h_sums[events].T * self.score.shares(lo, hi, events)
+        return (held - self.h_pairs(lo, hi).T) * self.increments[events]
+
+
 class _BalanceReport:
     """The parts of :func:`balance_report` that do not change with phi: the
     risk structure, the per-event sums of the balance design, shape
     ``(K, terms)``, the design on the visit rows and each term's at-risk
-    standard deviation."""
+    standard deviation, from sums over blocks of at-risk rows."""
 
     def __init__(self, dataset: Dataset, hspec: ModelMatrixSpec):
         self.names = hspec.names
         self.rs = RiskStructure(dataset)
         bound = BoundDesign(dataset, hspec)
         self.h_sums, self.h_visit = self.rs.design_sums(bound, dataset)
-        h_risk = bound.evaluate(dataset, dataset.at_risk_row_indices())
-        # one contiguous column at a time; the design is dropped after
-        self.sd = [float(col.std(ddof=1)) if col.size > 1 else 0.0
-                   for col in h_risk.T]
+        # the at-risk mean and sum of squared deviations, merged a block of
+        # rows at a time (Chan, Golub and LeVeque): no design on every row
+        rows = dataset.at_risk_row_indices()
+        count, mean, squares = 0, 0.0, 0.0
+        for lo in range(0, rows.size, _SD_ROWS):
+            h = bound.evaluate(dataset, rows[lo:lo + _SD_ROWS])
+            size, block_mean = h.shape[0], h.mean(axis=0)
+            delta, total = block_mean - mean, count + size
+            squares = (squares + ((h - block_mean) ** 2).sum(axis=0)
+                       + delta * delta * (count * size / total))
+            mean = mean + delta * (size / total)
+            count = total
+        self.sd = [float(np.sqrt(v / (count - 1))) if count > 1 else 0.0
+                   for v in squares]
 
     def rows(self, w: np.ndarray, breslow) -> list:
         """:func:`balance_report`'s rows for complete visit weights ``w``."""

@@ -172,6 +172,15 @@ def balance_target(h_cover, rs, increments):
     return h_cover.T @ per_pair
 
 
+def weight_derivative(fit, n, patient, eps=1e-3):
+    """Central difference of ``fit(copies)``, a function of one weight per
+    patient, in patient ``patient``'s weight at all ``n`` weights 1."""
+    up, down = np.ones(n), np.ones(n)
+    up[patient] += eps
+    down[patient] -= eps
+    return (fit(up) - fit(down)) / (2.0 * eps)
+
+
 def wls(x, y, w):
     """Closed-form weighted least squares through a scaled lstsq."""
     sw = np.sqrt(np.asarray(w, dtype=float))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from irrvis import (BalanceInfeasibleError, CountingProcessRow, Dataset,
                     ValidationError, balance_report, balancing_weights,
                     fit_cox, generate, mle_weights, q_values)
 from irrvis.cox import CoxFit
-from irrvis.weights import export_weights
+from irrvis.design import BoundDesign
+from irrvis.weights import _BalanceReport, export_weights
 
 
 def visit_outcome_map(values):
@@ -292,6 +294,27 @@ def test_balancing_weights_beat_mle_weights_on_misspecified_model():
     bal_imbalance = worst(balance_report(observed, hspec, bal, cox))
     assert bal_imbalance <= 1e-6
     assert mle_imbalance > bal_imbalance
+
+
+def test_report_standard_deviations_hold_no_at_risk_design():
+    # the report needs each term's standard deviation over the at-risk
+    # rows, not the terms on every row: 16 MB on this panel's 200 000 rows
+    cfg = ScenarioConfig(outcome="continuous", gamma_z=1.25, phi_true=0.3,
+                         n=400, scenario="s3_SF_correctZ", seed=1)
+    observed, _ = generate(cfg, 0)
+    hspec = ModelMatrixSpec(cfg.balance_terms())
+    tracemalloc.start()
+    try:
+        report = _BalanceReport(observed, hspec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = observed.at_risk_row_indices()
+    assert peak < rows.size * len(hspec) * 8
+    h = BoundDesign(observed, hspec).evaluate(observed, rows)
+    want = h.std(axis=0, ddof=1)
+    assert report.sd[0] == 0.0
+    assert np.allclose(report.sd, want, rtol=1e-14, atol=0.0)
 
 
 def test_report_accepts_bare_arrays_with_q():
