@@ -38,7 +38,9 @@ __all__ = ["QValues", "CoxFit", "fit_cox", "breslow_increments"]
 # likelihood rather than a usable optimum
 DIVERGENCE_BOUND = 30.0
 
-# incidence pairs per step of the likelihood: its workspace stays in L2 cache
+# incidence pairs per step of the likelihood.  The float64 workspace and
+# the block of the design it reads take (2p + 1) * 8 bytes a pair: 2.4 MB
+# at p = 4 and 2.9 MB at p = 5, more than a 2 MB L2 cache holds
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -87,39 +89,57 @@ class CoxFit:
 class _PartialLikelihood:
     """Objective, score and information for one risk structure, design and Q.
 
-    ``z_cover`` (float64 or float32) holds the design on the structure's
-    incidence pairs and ``z_visit`` on its visit rows.  Evaluation sums in
-    float64 over ``z_cover.T``, C-contiguous when ``z_cover`` comes from
-    :meth:`BoundDesign.evaluate`, in the :meth:`RiskStructure.blocks` of
-    :data:`_BLOCK_PAIRS` and one ``(p + 1, block)`` workspace, each range
-    shifted by its largest linear predictor and weighted by the structure's
-    pair weights, if any.  The pieces of a larger event merge S0, S1 and the
-    second moment under the larger shift, weighting the moment by
-    ``A_k / S0_k`` after the last piece.
+    ``z_cover`` holds the design on the structure's incidence pairs and
+    ``z_visit`` (float64) on its visit rows.  ``z_cover`` is a dense float64
+    array, one row per pair, whose blocks are read as views of
+    ``z_cover.T``, C-contiguous when ``z_cover`` comes from
+    :meth:`BoundDesign.evaluate`; or an object whose ``fill(out, lo, hi)``
+    writes the float64 design of pairs ``lo:hi`` into the C-contiguous
+    ``(p, hi - lo)`` buffer ``out`` and returns it, as the limiting fit's
+    grid design does.  Evaluation sums in float64 in the
+    :meth:`RiskStructure.blocks` of :data:`_BLOCK_PAIRS` and one
+    ``(p + 1, block)`` workspace, each range shifted by its largest linear
+    predictor and weighted by the structure's pair weights, if any.  The
+    pieces of a larger event merge S0, S1 and the second moment under the
+    larger shift, weighting the moment by ``A_k / S0_k`` after the last
+    piece.
     """
 
-    def __init__(self, rs: RiskStructure, z_cover: np.ndarray, z_visit: np.ndarray,
+    def __init__(self, rs: RiskStructure, z_cover, z_visit: np.ndarray,
                  q: np.ndarray):
         self.rs = rs
-        self.zt = z_cover.T
         self.z_visit = z_visit
         self.q = q
         self.a = rs.pooled_visit_sum(q)                          # A_k
         self.visit_score = q @ z_visit                           # sum_v Q z
         self.ranges = rs.blocks(_BLOCK_PAIRS)
+        p, width = z_visit.shape[1], min(int(rs.event_counts.sum()), _BLOCK_PAIRS)
         # row 0: exp(eta - shift) per pair; rows 1..p: z times that
-        self.work = np.empty((len(self.zt) + 1, min(self.zt.shape[1], _BLOCK_PAIRS)))
+        self.work = np.empty((p + 1, width))
+        if isinstance(z_cover, np.ndarray):
+            self.zt, self.fill = z_cover.T, None
+        else:
+            # flat, so that every block's buffer is C-contiguous
+            self.zt, self.fill, self.buffer = None, z_cover.fill, np.empty(p * width)
         # (gamma, S0, shifts, S1 / S0) of the latest evaluation, for
         # breslow() and _ScoreTerms
         self.last = None
 
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """The design on pairs ``lo:hi``, shape ``(p, hi - lo)``: a view of a
+        dense design, or a filled design's block in the buffer."""
+        if self.fill is None:
+            return self.zt[:, lo:hi]
+        out = self.buffer[:self.z_visit.shape[1] * (hi - lo)]
+        return self.fill(out.reshape(-1, hi - lo), lo, hi)
+
     def at(self, gamma: np.ndarray):
-        rs, p, weight = self.rs, self.zt.shape[0], self.rs.pair_weight
+        rs, p, weight = self.rs, self.z_visit.shape[1], self.rs.pair_weight
         s0, s1, shift = np.empty(rs.K), np.empty((p, rs.K)), np.empty(rs.K)
         second = np.zeros((p, p))
         split = None      # (shift, S0, S1, second moment) so far of a split event
         for lo, hi, k0, k1, offsets in self.ranges:
-            z = self.zt[:, lo:hi].astype(np.float64, copy=False)  # cast if float32
+            z = self.columns(lo, hi)
             work = self.work[:, :hi - lo]
             e, ze = work[0], work[1:]
             np.matmul(gamma, z, out=e)
@@ -172,8 +192,9 @@ class _PartialLikelihood:
 
 
 class _ScoreTerms:
-    """The score of ``pl``, a likelihood on an unweighted structure, at its
-    root ``gamma``, split into the terms of each visit row and each pair.
+    """The score of ``pl``, a likelihood on an unweighted structure and a
+    dense design, at its root ``gamma``, split into the terms of each visit
+    row and each pair.
 
     With each patient's pairs and visit rows weighted by a weight ``c_i``,
     the score is homogeneous in the weights, and its derivative in ``c_i``
@@ -194,14 +215,13 @@ class _ScoreTerms:
 
     def shares(self, lo: int, hi: int, events: np.ndarray) -> np.ndarray:
         """``exp(eta_j) / S0_k`` of pairs ``lo:hi``, of events ``events``."""
-        z = self.zt[:, lo:hi].astype(np.float64, copy=False)
-        return np.exp(self.gamma @ z - self.shift[events]) / self.s0[events]
+        eta = self.gamma @ self.zt[:, lo:hi]
+        return np.exp(eta - self.shift[events]) / self.s0[events]
 
     def pairs(self, lo: int, hi: int, events: np.ndarray) -> np.ndarray:
         """The terms of pairs ``lo:hi`` transposed, shape ``(p, hi - lo)``."""
-        z = self.zt[:, lo:hi].astype(np.float64, copy=False)
-        return (z - self.zbar[:, events]) * -(self.a[events]
-                                              * self.shares(lo, hi, events))
+        return (self.zt[:, lo:hi] - self.zbar[:, events]) * -(
+            self.a[events] * self.shares(lo, hi, events))
 
 
 def _unit_q(dataset: Dataset) -> QValues:

@@ -253,7 +253,7 @@ class _ResampleStages:
         self.prepared = prepared
         self.start = (None, None)
         self.copies = copies
-        self.n = int(copies.sum())
+        self.n = float(copies.sum())
         self.visit_copies = copies[prepared.visit_patient].astype(np.float64)
 
     def analyze(self, phi: float, start=None):

@@ -70,8 +70,10 @@ class RiskStructure:
         Dataset row indices with a visit, ascending.
     visit_event : ndarray of int64, shape (V,)
         Event index of each visit row.
-    n : int
-        Number of patients; sums are reported divided by ``n``.
+    n : int or float
+        Number of patients; sums are reported divided by ``n``.  On a
+        :meth:`weighted` structure, the sum of the patients' copies, which
+        need not be whole.
     pair_weight : ndarray of float64, shape (M,), or None
         Weight of each pair in risk-set sums; None, for weight 1, on every
         structure built from data.
@@ -142,9 +144,10 @@ class RiskStructure:
 
     def weighted(self, pair_weight: np.ndarray, n: int):
         """This structure with each pair weighted by ``pair_weight`` (in a
-        resample, its patient's copies) and ``n`` patients in all."""
+        resample, its patient's copies) and ``n`` patients in all, kept as
+        given: fractional copies give a fractional ``n``."""
         out = copy.copy(self)
-        out.pair_weight, out.n = pair_weight, int(n)
+        out.pair_weight, out.n = pair_weight, n
         return out
 
     def cover_times(self) -> np.ndarray:

@@ -34,19 +34,22 @@ covariates by noisy transforms.  When the outcome term is kept with
 transformed covariates, the plugged-in sensitivity value is the limiting
 coefficient from a very large one-off fit (:func:`limiting_phi`).
 
-That fit draws its float32 design (1 GB at the default 100 000 patients)
-in fixed blocks of patients, each from its own substream, and stores it
-grid-time-major: every row is at risk at exactly its own grid time, the
-grid form of :class:`~irrvis.riskset.RiskStructure`.  A draw takes z1 and
-z2 whole and everything after them in tiles of a few dozen patients,
-which the limiting fit copies straight into its design; so besides the
-design a block holds three float64 ``(patients, N_GRID)`` arrays: z1, z2
-and the visit probabilities.  It is fitted by
-``cox._fit``, as :func:`~irrvis.cox.fit_cox` is, which sums in float64
-over blocks of pairs and so needs only a few MB beyond the design.  From
-5 000 patients on, the Newton search starts at a pilot fit of the first
-500 patients on their own grid structure, which halves the evaluations
-of the full partial likelihood; otherwise, and wherever the pilot or the
+That fit draws its design in fixed blocks of patients, each from its own
+substream, and stores it grid-time-major: every row is at risk at
+exactly its own grid time, the grid form of
+:class:`~irrvis.riskset.RiskStructure`.  The four time-varying rows are
+float32 (800 MB at the default 100 000 patients); the binary arm x is
+kept once per patient, not at each of the N_GRID grid times
+(:class:`_GridDesign`).  A draw takes z1 and z2 whole and everything
+after them in tiles of a few dozen patients, which the limiting fit
+copies straight into its design; so besides the design a block holds
+three float64 ``(patients, N_GRID)`` arrays: z1, z2 and the visit
+probabilities.  It is fitted by ``cox._fit``, as
+:func:`~irrvis.cox.fit_cox` is, which fills a float64 block of pairs at a
+time from the design and so needs only a few MB beyond it.  From 5 000
+patients on, the Newton search starts at a pilot fit of the first 500
+patients on their own grid structure, which halves the evaluations of
+the full partial likelihood; otherwise, and wherever the pilot or the
 started fit fails, it starts at zero.
 """
 
@@ -345,31 +348,74 @@ def _require_n_large(n_large) -> None:
         raise ValidationError("n_large must be at least 1")
 
 
+class _GridDesign:
+    """The limiting fit's design on the pairs of :meth:`RiskStructure.grid`,
+    rows a, b, ab, x and S(Y).
+
+    ``varying`` holds the four time-varying rows a, b, ab and S(Y) as
+    float32, column ``k * n + i`` being patient ``i`` at grid time ``k``;
+    ``x`` holds the binary arm once per patient, as float64.  So the design
+    holds 16 bytes per grid row and 8 per patient, not 20 per grid row.
+    """
+
+    def __init__(self, varying: np.ndarray, x: np.ndarray):
+        self.varying, self.x = varying, x
+
+    def fill(self, out: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The design of pairs ``lo:hi`` into the float64 ``(5, hi - lo)``
+        ``out``.  Pair ``k * n + i`` takes patient ``i``'s x, also where the
+        range starts or ends partway through a grid time or spans several."""
+        varying, x, n = self.varying[:, lo:hi], self.x, self.x.size
+        out[:3], out[4] = varying[:3], varying[3]
+        head = min(n - lo % n, hi - lo)
+        out[3, :head] = x[lo % n:lo % n + head]
+        rest = out[3, head:]
+        whole = rest.size - rest.size % n
+        rest[:whole].reshape(-1, n)[...] = x
+        rest[whole:] = x[:rest.size - whole]
+        return out
+
+    def visits(self, rows: np.ndarray) -> np.ndarray:
+        """The float64 design on the pairs ``rows``, C-contiguous, shape
+        ``(rows.size, 5)``."""
+        out = np.empty((rows.size, 5))
+        for k, j in ((0, 0), (1, 1), (2, 2), (4, 3)):
+            out[:, k] = self.varying[j, rows]
+        out[:, 3] = self.x[rows % self.x.size]
+        return out
+
+    def first(self, m: int) -> "_GridDesign":
+        """The design of the first ``m`` patients, on their own grid pairs."""
+        n = self.x.size
+        return _GridDesign(self.varying.reshape(4, -1, n)[:, :, :m].reshape(4, -1),
+                           self.x[:m])
+
+
 class _TimeMajor:
     """The :func:`_draw_panel` writer of one block of the limiting design:
     it copies each tile, transposed and as float32, into the block's columns
-    of the time-major ``design`` and ``visit`` flags (see
-    :func:`_limiting_design`), the block's patient ``i`` into column
-    ``lo + i``."""
+    of the time-varying rows ``varying``, shape ``(4, N_GRID, n_large)``, and
+    of the ``visit`` flags (see :func:`_limiting_design`), the block's
+    patient ``i`` into column ``lo + i``; its x goes into ``x[lo + i]``."""
 
-    def __init__(self, design, visit, lo: int, correct_covariates: bool):
-        self.design, self.visits, self.lo = design, visit, lo
+    def __init__(self, varying, x, visit, lo: int, correct_covariates: bool):
+        self.varying, self.x, self.visits, self.lo = varying, x, visit, lo
         self.correct_covariates = correct_covariates
 
     def _columns(self, rows: slice) -> slice:
         return slice(self.lo + rows.start, self.lo + rows.stop)
 
     def _covariates(self, cols: slice, a, b) -> None:
-        self.design[0, :, cols] = a.T
-        self.design[1, :, cols] = b.T
-        self.design[2, :, cols] = np.multiply(a, b).T
+        self.varying[0, :, cols] = a.T
+        self.varying[1, :, cols] = b.T
+        self.varying[2, :, cols] = np.multiply(a, b).T
 
     def outcome(self, rows, x, z1, z2, y, s_y) -> None:
         cols = self._columns(rows)
         if self.correct_covariates:
             self._covariates(cols, z1, z2)
-        self.design[3, :, cols] = x.T
-        self.design[4, :, cols] = s_y.T
+        self.x[cols] = x[:, 0]
+        self.varying[3, :, cols] = s_y.T
 
     def visit(self, rows, visit) -> None:
         self.visits[:, self._columns(rows)] = visit.T
@@ -380,49 +426,49 @@ class _TimeMajor:
 
 def _limiting_design(cfg: ScenarioConfig, n_large: int,
                      correct_covariates: bool):
-    """Covariate matrix (float32) and visit flags for the limiting fit.
+    """Grid design (:class:`_GridDesign`) and visit flags for the limiting fit.
 
-    Rows: the scenario's weight covariates (transformed by default) and
-    S(Y).  Column ``k * n_large + i`` is patient ``i`` at grid time ``k``,
+    Rows: the scenario's weight covariates (transformed by default), x and
+    S(Y).  Pair ``k * n_large + i`` is patient ``i`` at grid time ``k``,
     the pair order of :meth:`RiskStructure.grid`.  Patients are drawn in
     blocks of :data:`_DRAW_BLOCK`, block ``c`` from its own substream, so
     the draws are fixed by ``cfg`` and ``n_large``.  Each block's draws go
     into the design tile by tile (:class:`_TimeMajor`), so besides the
-    design (20 bytes per grid row) a block holds three float64
-    ``(_DRAW_BLOCK, N_GRID)`` arrays, z1, z2 and the visit probabilities,
-    and a few tiles.
+    design (16 bytes per grid row and 8 per patient) a block holds three
+    float64 ``(_DRAW_BLOCK, N_GRID)`` arrays, z1, z2 and the visit
+    probabilities, and a few tiles.
     """
-    design = np.empty((5, N_GRID, n_large), dtype=np.float32)
+    varying = np.empty((4, N_GRID, n_large), dtype=np.float32)
+    x = np.empty(n_large)
     visit = np.empty((N_GRID, n_large), dtype=bool)
     for c, lo in enumerate(range(0, n_large, _DRAW_BLOCK)):
         rng = substream(cfg.seed, _LIMITING_STREAM_BASE + c)
         _draw_panel(cfg, rng, min(_DRAW_BLOCK, n_large - lo),
                     transformed=not correct_covariates,
-                    write=_TimeMajor(design, visit, lo, correct_covariates))
-    return design.reshape(5, -1), visit.ravel()
+                    write=_TimeMajor(varying, x, visit, lo, correct_covariates))
+    return _GridDesign(varying.reshape(4, -1), x), visit.ravel()
 
 
-def _grid_fit(design: np.ndarray, visit: np.ndarray, n: int,
+def _grid_fit(design: _GridDesign, visit: np.ndarray, n: int,
               start: Optional[np.ndarray] = None) -> np.ndarray:
     """Coefficients of the unit-Q visit model on ``n`` patients'
-    time-major ``design`` and ``visit`` flags (see :func:`_limiting_design`),
-    with the Newton search started at ``start`` (zero if None)."""
+    grid ``design`` and time-major ``visit`` flags (see
+    :func:`_limiting_design`), with the Newton search started at ``start``
+    (zero if None)."""
     rs = RiskStructure.grid(GRID_TIMES, n, visit)
-    z_visit = design[:, rs.visit_rows].T.astype(np.float64)
     spec = ModelMatrixSpec(["a", "b", "ab", "x", "sy"])     # the design's rows
-    return _fit_intensity(rs, design.T, z_visit, spec,
+    return _fit_intensity(rs, design, design.visits(rs.visit_rows), spec,
                           np.ones(rs.visit_rows.size), start).gamma
 
 
-def _pilot_fit(design: np.ndarray, visit: np.ndarray,
+def _pilot_fit(design: _GridDesign, visit: np.ndarray,
                n: int) -> Optional[np.ndarray]:
     """:func:`_grid_fit` on the first :data:`_PILOT_PATIENTS` of the ``n``
     patients, or None where it fails: the pilot may lack visits or fail
     where the full data do not."""
     m = _PILOT_PATIENTS
     try:
-        return _grid_fit(design.reshape(5, N_GRID, n)[:, :, :m].reshape(5, -1),
-                         visit.reshape(N_GRID, n)[:, :m].ravel(), m)
+        return _grid_fit(design.first(m), visit.reshape(N_GRID, n)[:, :m].ravel(), m)
     except IrrvisError:
         return None
 

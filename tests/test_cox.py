@@ -158,6 +158,20 @@ def test_block_event_sums_match_loops(monkeypatch):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
+def test_dense_design_blocks_are_views(monkeypatch):
+    # a dense float64 design reaches the kernel as views of its transpose,
+    # with no copy per block
+    ds = kernel_panel(3)
+    rs = RiskStructure(ds)
+    z_cover, z_visit = rs.design(BoundDesign(ds, ModelMatrixSpec(KERNEL_TERMS)), ds)
+    monkeypatch.setattr(cox, "_BLOCK_PAIRS", 3)
+    pl = _PartialLikelihood(rs, z_cover, z_visit, np.ones(rs.visit_rows.size))
+    for lo, hi, *_ in pl.ranges:
+        block = pl.columns(lo, hi)
+        assert block.dtype == np.float64 and block.shape == (3, hi - lo)
+        assert np.shares_memory(block, z_cover)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000),
        copies=st.lists(st.integers(0, 2), min_size=7, max_size=7).filter(any))

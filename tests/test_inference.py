@@ -629,6 +629,19 @@ def test_identity_resample_is_analyze_once(name, phi):
     assert_same_pass(stages, ds, cfg, phi)
 
 
+@pytest.mark.parametrize("eps", [1e-3, -1e-3])
+def test_fractional_copies_keep_their_sum_as_n(eps):
+    # n divides every equation of a resample, so each solver's stopping
+    # tolerance is read on the scale of the copies' sum, not a truncation
+    ds = parity_dataset()
+    copies = np.ones(ds.n_patients)
+    copies[3] += eps
+    stages = _ResampleStages(_Prepared(ds, PARITY_CONFIGS["balancing"]), copies)
+    assert stages.n == copies.sum()
+    assert stages._structure[0].n == copies.sum()
+    assert stages.analyze(0.4)[0].beta.shape == (2,)
+
+
 def test_identity_resample_fails_as_analyze_once():
     # phi = 200 overflows the selection values of the whole data
     ds = overflow_dataset()

@@ -204,9 +204,29 @@ def test_first_interval_visit_rate_matches_formula():
 LIMITING_SPEC = ModelMatrixSpec(["a", "b", "ab", "x", "sy"])
 
 
+def dense_design(design):
+    """The grid design's five rows a, b, ab, x and S(Y) as one dense float32
+    ``(5, pairs)`` array, x repeated at every grid time."""
+    x = np.tile(design.x.astype(np.float32), design.varying.shape[1] // design.x.size)
+    return np.vstack((design.varying[:3], x, design.varying[3]))
+
+
+class BlockCast:
+    """A dense float32 design read by the kernel's ``fill`` interface: each
+    block of pairs cast to float64 into the kernel's C-contiguous buffer,
+    the arithmetic of a per-block ``astype`` of the dense stack."""
+
+    def __init__(self, dense):
+        self.dense = dense
+
+    def fill(self, out, lo, hi):
+        out[...] = self.dense[:, lo:hi]
+        return out
+
+
 def grid_dataset(design, visit, n):
     """The limiting fit's time-major draws patient-major, as a general dataset."""
-    cov = design.reshape(5, 500, n).transpose(2, 1, 0).reshape(-1, 5)
+    cov = dense_design(design).reshape(5, 500, n).transpose(2, 1, 0).reshape(-1, 5)
     flags = visit.reshape(500, n).T.ravel()
     return Dataset(list(range(n)), np.repeat(np.arange(n, dtype=np.int32), 500),
                    np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
@@ -387,18 +407,20 @@ def test_limiting_design_is_the_time_major_stack_of_reference_draws(
     cfg = cont_cfg(outcome=outcome, gamma_z=1.25, phi_true=0.3, seed=11)
     n_large = 17
     design, visit = _limiting_design(cfg, n_large, correct)
-    want = np.empty((5, 500, n_large), dtype=np.float32)
+    want = np.empty((4, 500, n_large), dtype=np.float32)
     want_visit = np.empty((500, n_large), dtype=bool)
     for c, lo in enumerate(range(0, n_large, 7)):
         m = min(7, n_large - lo)
         rng = substream(cfg.seed, simlab._LIMITING_STREAM_BASE + c)
         x, z1, z2, _, s_y, v, z1s, z2s = oracles.draw_panel(cfg, rng, m)
         a, b = (z1, z2) if correct else (z1s, z2s)
-        for k, values in enumerate((a, b, a * b, np.broadcast_to(x, (m, 500)), s_y)):
+        for k, values in enumerate((a, b, a * b, s_y)):
             want[k, :, lo:lo + m] = values.T.astype(np.float32)
         want_visit[:, lo:lo + m] = v.T
-    assert design.dtype == np.float32 and design.shape == (5, 500 * n_large)
-    assert design.tobytes() == want.tobytes()
+        assert design.x[lo:lo + m].tobytes() == x[:, 0].tobytes()
+    varying = design.varying
+    assert varying.dtype == np.float32 and varying.shape == (4, 500 * n_large)
+    assert varying.tobytes() == want.tobytes()
     assert visit.tobytes() == want_visit.tobytes()
 
 
@@ -414,7 +436,60 @@ def test_limiting_design_holds_three_arrays_of_draws_per_block(outcome):
     finally:
         tracemalloc.stop()
     one_array = simlab._DRAW_BLOCK * 500 * 8
-    assert peak - design.nbytes - visit.nbytes <= 3.5 * one_array
+    held = design.varying.nbytes + design.x.nbytes + visit.nbytes
+    assert peak - held <= 3.5 * one_array
+
+
+def test_limiting_design_keeps_x_once_per_patient():
+    # four float32 rows per grid row and one float64 x per patient: 16
+    # bytes per grid row plus 8 per patient, not five float32 rows
+    n = 30
+    design, visit = _limiting_design(cont_cfg(phi_true=0.3, seed=2), n, False)
+    assert design.x.dtype == np.float64 and design.x.shape == (n,)
+    assert set(np.unique(design.x)) <= {0.0, 1.0}
+    assert design.varying.nbytes + design.x.nbytes == 16 * 500 * n + 8 * n
+    assert visit.shape == (500 * n,)
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_grid_design_kernel_equals_the_dense_design_bit_for_bit(correct):
+    # the grid design fills each block of pairs as a per-block cast of the
+    # dense float32 stack does, x from patient pair % n: blocks of 7 and
+    # n - 1 start partway through a grid time, n + 3 and 3n + 1 wrap over
+    # the patients, and 1 << 15 holds every pair
+    from irrvis import cox
+
+    cfg = cont_cfg(gamma_z=1.25, phi_true=0.3, scenario="s4_SF_transformedZ", seed=5)
+    n = 40
+    design, visit = _limiting_design(cfg, n, correct)
+    dense = dense_design(design)
+    rs = RiskStructure.grid(GRID_TIMES, n, visit)
+    z_visit = design.visits(rs.visit_rows)
+    want_visit = dense[:, rs.visit_rows].T.astype(np.float64)
+    assert z_visit.flags.c_contiguous == want_visit.flags.c_contiguous
+    assert z_visit.tobytes() == want_visit.tobytes()
+    # the kernel's blocks hold whole grid times or a piece of one; the fill
+    # takes any range, also one that starts partway through a grid time
+    # and ends partway through a later one
+    pairs = 500 * n
+    for lo, hi in ((0, 1), (5, 45), (n - 1, 2 * n + 1), (33, 33 + 3 * n + 2),
+                   (pairs - 7, pairs)):
+        out = np.empty((5, hi - lo))
+        assert design.fill(out, lo, hi) is out
+        assert out.tobytes() == dense[:, lo:hi].astype(np.float64).tobytes()
+    q = np.ones(rs.visit_rows.size)
+    gammas = (np.zeros(5), np.array([0.2, -0.1, 0.05, 0.4, 0.3]),
+              np.array([-0.5, 0.3, -0.2, -1.0, 0.8]))
+    for block in (7, n - 1, n + 3, 3 * n + 1, 1 << 15):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cox, "_BLOCK_PAIRS", block)
+            grid, cast = (cox._PartialLikelihood(rs, z, z_visit, q)
+                          for z in (design, BlockCast(dense)))
+        for gamma in gammas:
+            got = (*grid.at(gamma), grid.breslow(gamma))
+            want = (*cast.at(gamma), cast.breslow(gamma))
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_correct_covariates_are_drawn_without_the_transformed(monkeypatch):
