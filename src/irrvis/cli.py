@@ -201,17 +201,25 @@ def _analysis_config(config: dict) -> AnalysisConfig:
                 raise ValidationError(f"key {key!r} only applies to bootstrap "
                                       "resampling")
         resampling = Resampling(kind_r)
-    return AnalysisConfig(model=model, weight_kind=kind, zspec=zspec,
+    acfg = AnalysisConfig(model=model, weight_kind=kind, zspec=zspec,
                           hspec=hspec, selection=selection,
                           phi_grid=tuple(_number(p, float, "analyze", "phi_grid")
                                          for p in grid),
                           resampling=resampling)
+    # each phi of a weighted analysis names its files by format(phi, "g");
+    # the grid increases and rounding is monotone, so a name is shared by
+    # neighbours
+    for a, b in zip(acfg.phi_grid, acfg.phi_grid[1:]):
+        if kind != "none" and format(a, "g") == format(b, "g"):
+            raise ValidationError(f"phi_grid values {a!r} and {b!r} would write "
+                                  f"the same per-phi files (phi{a:g})")
+    return acfg
 
 
-def _phi_artifacts(dataset, outdir, phi, cox, wset, balance) -> None:
+def _phi_artifacts(dataset, outdir, wset, balance) -> None:
     """Visit model, weight and (given a ``_BalanceReport``) balance files of
-    one phi."""
-    tag = format(phi, "g")
+    the phi of ``wset``, from its weights and its visit model fit."""
+    cox, tag = wset.visit_model, format(wset.phi, "g")
     _write_csv(os.path.join(outdir, f"cox_phi{tag}.csv"), ["section", "key", "value"], [
         *(["coef", name, _format_float(value)]
           for name, value in zip(cox.names, cox.gamma)),
@@ -235,13 +243,13 @@ def cmd_analyze(config: dict, config_path, outdir: str, threads) -> int:
     result.to_csv(os.path.join(outdir, "sweep.csv"))
     if acfg.weight_kind != "none":
         balance = None
-        for phi, kept in result.fits.items():
+        for kept in result.fits.values():
             if isinstance(kept, PipelineError):
                 log.warning("%s; no artifact files written", kept)
                 continue
             if acfg.hspec is not None and balance is None:
                 balance = _BalanceReport(dataset, acfg.hspec)
-            _phi_artifacts(dataset, outdir, phi, *kept, balance)
+            _phi_artifacts(dataset, outdir, kept, balance)
     _write_manifest(outdir, "analyze", config_path, _seed(config))
     return 0
 
@@ -305,7 +313,7 @@ def cmd_weights(config: dict, config_path, outdir: str, threads) -> int:
     else:
         wset = balancing_weights(dataset, hspec, q, cox)
     balance = None if hspec is None else _BalanceReport(dataset, hspec)
-    _phi_artifacts(dataset, outdir, phi, cox, wset, balance)
+    _phi_artifacts(dataset, outdir, wset, balance)
     _write_manifest(outdir, "weights", config_path, _seed(config))
     return 0
 
@@ -330,7 +338,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output directory (overrides config)")
         p.add_argument("--threads", type=int,
                        help="parallel worker cap (default: IRRVIS_THREADS "
-                            "or all cores)")
+                            "or all cores)" if name == "simulate" else
+                            "accepted and ignored: only simulate runs "
+                            "parallel workers")
         p.add_argument("--verbose", action="store_true",
                        help="progress messages on stderr")
     return parser

@@ -35,7 +35,7 @@ reports every phi of a run from it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -105,6 +105,8 @@ class WeightSet:
     coefficients (mle) or the balance coefficients (balancing).  For
     balancing weights the solved residuals and their max-norm are recorded;
     the max-norm is at or below the solver tolerance by construction.
+    ``visit_model`` is the CoxFit the weights were built from (None for
+    balancing weights given bare increments); ``==`` and repr ignore it.
     """
 
     kind: str
@@ -114,6 +116,7 @@ class WeightSet:
     phi: float
     balance_residuals: Optional[np.ndarray] = None
     max_abs_residual: Optional[float] = None
+    visit_model: Optional[CoxFit] = field(default=None, repr=False, compare=False)
 
 
 def q_values(dataset: Dataset, selection: SelectionSpec, phi: float) -> QValues:
@@ -146,7 +149,7 @@ def _inverse_intensity(cox: CoxFit, eta: np.ndarray, q: np.ndarray,
     """:func:`mle_weights` from the linear predictor at the visit rows."""
     return WeightSet(kind="mle", weights=np.exp(-eta) * q,
                      gamma=np.asarray(cox.gamma, dtype=np.float64).copy(),
-                     names=tuple(cox.names), phi=phi)
+                     names=tuple(cox.names), phi=phi, visit_model=cox)
 
 
 def _breslow_pair(breslow, structure: RiskStructure):
@@ -173,12 +176,13 @@ class _BalanceSystem:
     risk structure's events, shape ``(K, terms)`` (from
     :meth:`RiskStructure.event_sums`, pair-weighted where the structure
     has pair weights), and ``h_visit`` the terms on its visit rows;
-    ``breslow`` is as in :func:`balancing_weights`.
+    ``breslow`` is as in :func:`balancing_weights`, kept if a CoxFit.
     """
 
     def __init__(self, rs: RiskStructure, h_sums: np.ndarray, h_visit: np.ndarray,
                  q_arr: np.ndarray, breslow):
         self.h_visit = h_visit
+        self.visit_model = breslow if isinstance(breslow, CoxFit) else None
         # target: sum_k dLambda_k * (risk-set sum of h at event k)
         self.target = _breslow_pair(breslow, rs) @ h_sums
         self.q = q_arr
@@ -262,7 +266,8 @@ def _balance(system: _BalanceSystem, hspec: ModelMatrixSpec, phi: float,
     res = system.residual(w)
     return WeightSet(kind="balancing", weights=w, gamma=gamma, names=tuple(names),
                      phi=phi, balance_residuals=res,
-                     max_abs_residual=float(np.max(np.abs(res))))
+                     max_abs_residual=float(np.max(np.abs(res))),
+                     visit_model=system.visit_model)
 
 
 class _BalanceTerms:

@@ -184,11 +184,13 @@ def test_analyze_skips_artifacts_of_a_failed_phi(tmp_path, caplog):
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING, logger="irrvis"):
         assert run("analyze", "--config", cfg, "--output", str(out)) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    converged = header.split(",").index("converged")
     failed = [l.split(",") for l in lines if l.startswith("200.0,")]
     assert len(failed) == 2
-    assert all(f[2] == "nan" and f[-1] == "0" for f in failed)
-    assert all(l.endswith(",1") for l in lines if not l.startswith("200.0,"))
+    assert all(f[2] == "nan" and f[converged] == "0" for f in failed)
+    assert all(l.split(",")[converged] == "1" for l in lines
+               if not l.startswith("200.0,"))
     for name in ("cox", "weights", "balance"):
         assert not (out / f"{name}_phi200.csv").exists()
         for tag in ("0", "0.5"):
@@ -198,6 +200,26 @@ def test_analyze_skips_artifacts_of_a_failed_phi(tmp_path, caplog):
     assert len(warning) == 1
     assert "stage 'selection values' failed at phi=200" in warning[0]
     assert "no artifact files written" in warning[0]
+
+
+def test_analyze_rejects_two_phis_of_one_file_name(tmp_path, capsys):
+    # per-phi files are named by format(phi, "g"), six significant digits:
+    # 0.1 and 0.1000001 would both write cox_phi0.1.csv, the second over
+    # the first, so the grid is refused before anything is fitted
+    data = panel_csv(tmp_path, n_patients=16)
+    section = {"weight_kind": "mle", "z_terms": ["z1"], "x_terms": ["1", "z1"]}
+    cfg = write_config(tmp_path / "a.yaml", {
+        "input": data, "analyze": {**section, "phi_grid": [0.0, 0.1, 0.1000001]}})
+    out = tmp_path / "out"
+    assert run("analyze", "--config", cfg, "--output", str(out)) == 1
+    assert "phi_grid values 0.1 and 0.1000001" in capsys.readouterr().err
+    assert not list(out.iterdir())
+    # one more digit of difference names the files apart
+    cfg = write_config(tmp_path / "b.yaml", {
+        "input": data, "analyze": {**section, "phi_grid": [0.1, 0.100001]}})
+    assert run("analyze", "--config", cfg, "--output", str(out)) == 0
+    for tag in ("0.1", "0.100001"):
+        assert (out / f"cox_phi{tag}.csv").exists()
 
 
 def read_csv(path):

@@ -367,7 +367,8 @@ def test_sweep_keeps_point_fits_and_failures():
     res = sweep(ds, cfg)
     assert list(res.fits) == [0.0, 1.0, 200.0]
     for phi in (0.0, 1.0):
-        cox, wset = res.fits[phi]
+        wset = res.fits[phi]
+        cox = wset.visit_model
         q = q_values(ds, cfg.selection, phi)
         want = fit_cox(ds, cfg.zspec, q)
         assert np.array_equal(cox.gamma, want.gamma)
@@ -382,9 +383,12 @@ def test_sweep_keeps_point_fits_and_failures():
     res = sweep(Dataset.from_rows(rows, tau=4.0),
                 mle_config(resampling=Resampling("jackknife")))
     assert not any(r["converged"] for r in res.rows)
-    cox, wset = res.fits[0.0]
-    assert cox.names == ("z1",) and wset.kind == "mle"
-    assert sweep(ds, none_config()).fits == {0.0: (None, None)}
+    # and its NaN rows keep its resample counts: both deletions failed
+    assert all((r["n_used"], r["n_failed"], r["n_exact"]) == (0, 2, 0)
+               for r in res.rows)
+    wset = res.fits[0.0]
+    assert wset.visit_model.names == ("z1",) and wset.kind == "mle"
+    assert sweep(ds, none_config()).fits == {0.0: None}
 
 
 def test_analyze_once_pair_keeps_its_visit_model_through_pickle():
@@ -394,9 +398,9 @@ def test_analyze_once_pair_keeps_its_visit_model_through_pickle():
     assert len(result) == 2
     assert np.array_equal(fit.beta, result[0].beta)
     assert np.array_equal(wset.weights, result[1].weights)
-    cox = copy.copy(result).visit_model
+    cox = copy.copy(wset).visit_model
     assert np.array_equal(cox.gamma, wset.gamma)
-    assert analyze_once(ds, none_config(), 0.0).visit_model is None
+    assert analyze_once(ds, none_config(), 0.0)[1] is None
 
 
 def test_sweep_does_not_absorb_validation_errors():
@@ -441,14 +445,19 @@ def test_sweep_csv_round_trip(tmp_path):
     res.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("phi,term,estimate,se,ci_lo,ci_hi,"
-                        "weight_min,weight_median,weight_max,converged")
+                        "weight_min,weight_median,weight_max,converged,"
+                        "n_used,n_failed,n_exact")
     assert len(lines) == 1 + len(res.rows)
+    header = lines[0].split(",")
+    converged = header.index("converged")
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert first[1] == "1"
     assert float(first[2]) == res.rows[0]["estimate"]
-    assert first[-1] == "1"
-    assert lines[-1].endswith(",0")
+    assert first[converged] == "1"
+    assert lines[-1].split(",")[converged] == "0"
+    # without resampling every row counts no resample
+    assert all(line.endswith(",0,0,0") for line in lines[1:])
     assert "nan" in lines[-1]
 
 
@@ -664,15 +673,13 @@ def assert_same_pass(stages, ds, cfg, phi):
     for field in ("beta", "fitted_means"):
         assert np.array_equal(getattr(got[0], field), getattr(want[0], field))
     assert (got[0].n_iter, got[0].max_eq_norm) == (want[0].n_iter, want[0].max_eq_norm)
-    assert (got.visit_model is None) == (want.visit_model is None)
-    if want.visit_model is not None:
-        for field in ("gamma", "increments", "event_times"):
-            assert np.array_equal(getattr(got.visit_model, field),
-                                  getattr(want.visit_model, field))
-        assert got.visit_model.loglik == want.visit_model.loglik
     if want[1] is None:
         assert got[1] is None
         return
+    for field in ("gamma", "increments", "event_times"):
+        assert np.array_equal(getattr(got[1].visit_model, field),
+                              getattr(want[1].visit_model, field))
+    assert got[1].visit_model.loglik == want[1].visit_model.loglik
     for field in ("weights", "gamma", "balance_residuals"):
         assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
     assert (got[1].names, got[1].max_abs_residual) == (want[1].names,
@@ -722,7 +729,7 @@ def warm_start(prepared, phi):
     """The start every resample's solves get at ``phi``: the solution of
     the point fit, ``analyze_once`` on the whole dataset."""
     point = analyze_once(prepared.dataset, prepared.config, phi)
-    return point.visit_model.gamma, point[1].gamma
+    return point[1].visit_model.gamma, point[1].gamma
 
 
 def outcome(prepared, patients, phi, start=None):
@@ -781,7 +788,7 @@ def test_sweep_se_equals_standalone_resampling(resampling):
 
 @pytest.mark.parametrize("resampling", [Resampling("jackknife"),
                                         Resampling("bootstrap", b=12, seed=3)])
-def test_sweep_keeps_resample_counts_of_standalone_resampling(resampling):
+def test_sweep_rows_count_resamples_as_standalone_resampling(resampling):
     # the deletion of the flagged patient fails at every phi
     ds = flagged_dataset()
     cfg = mle_config(zspec=ModelMatrixSpec(["z1", "flag"]), phi_grid=(0.0, 0.2),
@@ -796,10 +803,12 @@ def test_sweep_keeps_resample_counts_of_standalone_resampling(resampling):
             else:
                 want = bootstrap(ds, cfg, phi, resampling.b, resampling.seed)
                 assert want.n_failed > 0
-            assert result.resample_counts[phi] == (want.n_used, want.n_failed)
-    assert sorted(result.resample_counts) == list(cfg.phi_grid)
-    assert sweep(ds, dataclasses.replace(cfg, resampling=Resampling())
-                 ).resample_counts == {}
+            assert {(r["n_used"], r["n_failed"], r["n_exact"])
+                    for r in result.rows if r["phi"] == phi} == {
+                        (want.n_used, want.n_failed, want.n_exact)}
+    assert sorted({r["phi"] for r in result.rows}) == list(cfg.phi_grid)
+    assert all(r["n_used"] == r["n_failed"] == r["n_exact"] == 0 for r in sweep(
+        ds, dataclasses.replace(cfg, resampling=Resampling())).rows)
 
 
 def test_sweep_weights_each_resample_once(monkeypatch):
@@ -895,6 +904,9 @@ def test_sweep_se_beside_a_failed_point_fit_equals_standalone(resampling):
             assert np.array_equal(got, want)
     assert isinstance(res.fits[200.0], PipelineError)
     assert all(np.isnan(r["se"]) and not r["converged"]
+               for r in res.rows if r["phi"] == 200.0)
+    # the failed phi was not resampled
+    assert all(r["n_used"] == r["n_failed"] == r["n_exact"] == 0
                for r in res.rows if r["phi"] == 200.0)
 
 

@@ -42,8 +42,8 @@ def test_influences_match_central_differences(name, phi):
     cfg = INFLUENCE_CONFIGS[name]
     prepared = _Prepared(ds, cfg)
     point = analyze_once(ds, cfg, phi)
-    start = None if point.visit_model is None else (point.visit_model.gamma,
-                                                    point[1].gamma)
+    start = None if point[1] is None else (point[1].visit_model.gamma,
+                                           point[1].gamma)
 
     def beta(copies):
         return _ResampleStages(prepared, copies).analyze(phi, start)[0].beta
@@ -95,6 +95,15 @@ def ses(result):
     return np.array([r["se"] for r in result.rows])
 
 
+def per_phi(result, column):
+    """``{phi: value}`` of a sweep column that is the same on every row of
+    a phi, as the resample counts are."""
+    out = {}
+    for r in result.rows:
+        assert out.setdefault(r["phi"], r[column]) == r[column]
+    return out
+
+
 @pytest.mark.parametrize("n, seed", [(100, s) for s in range(1, 7)] + [(200, 1)])
 def test_screened_se_is_within_half_a_percent_of_the_exact(monkeypatch, n, seed):
     # n = 200, seed 1 holds a patient of small influence whose deletion is
@@ -106,13 +115,14 @@ def test_screened_se_is_within_half_a_percent_of_the_exact(monkeypatch, n, seed)
     alone = jackknife(ds, cfg, 0.15)
     assert np.array_equal(alone.se, [r["se"] for r in screened.rows
                                      if r["phi"] == 0.15])
-    assert alone.n_exact == screened.exact_counts[0.15]
+    assert alone.n_exact == per_phi(screened, "n_exact")[0.15]
     monkeypatch.setattr(inference, "_STOP_SHARE", 0.0)
     exact = sweep(ds, cfg)
-    assert screened.resample_counts == exact.resample_counts == dict.fromkeys(
-        cfg.phi_grid, (n, 0))
-    assert all(k < n for k in screened.exact_counts.values())
-    assert exact.exact_counts == dict.fromkeys(cfg.phi_grid, n)
+    for column, want in (("n_used", n), ("n_failed", 0)):
+        assert per_phi(screened, column) == per_phi(exact, column) == dict.fromkeys(
+            cfg.phi_grid, want)
+    assert all(k < n for k in per_phi(screened, "n_exact").values())
+    assert per_phi(exact, "n_exact") == dict.fromkeys(cfg.phi_grid, n)
     assert np.all(np.abs(ses(screened) / ses(exact) - 1.0) < 0.005)
 
 
@@ -124,17 +134,36 @@ def test_every_deletion_refitted_is_the_full_jackknife(monkeypatch):
     n = ds.n_patients
     monkeypatch.setattr(inference, "_STOP_SHARE", 0.0)
     rounds = sweep(ds, cfg)
-    assert rounds.exact_counts == dict.fromkeys(cfg.phi_grid, n)
+    assert per_phi(rounds, "n_exact") == dict.fromkeys(cfg.phi_grid, n)
     prepared = _Prepared(ds, cfg)
     for phi in cfg.phi_grid:
         point = analyze_once(ds, cfg, phi)
-        start = (point.visit_model.gamma, point[1].gamma)
+        start = (point[1].visit_model.gamma, point[1].gamma)
         est = np.asarray([
             _ResampleStages(prepared, (np.arange(n) != k).astype(np.int64))
             .analyze(phi, start)[0].beta for k in range(n)])
         dev = est - est.mean(axis=0)
         want = np.sqrt((n - 1) / n * (dev * dev).sum(axis=0))
         assert np.array_equal([r["se"] for r in rounds.rows if r["phi"] == phi], want)
+
+
+def test_screening_goes_past_the_second_round_on_a_count_cell():
+    # on the benchmark's continuous cell every screened sweep stops after
+    # two rounds, 32 + 16 refits; this count panel with inverse-intensity
+    # weights stops there at phi 0 and takes a third round at phi 0.3
+    cell = ScenarioConfig(outcome="count", gamma_z=1.25, phi_true=0.3, n=100,
+                          scenario="s3_SF_correctZ", seed=2)
+    ds = generate(cell, 0)[0]
+    cfg = AnalysisConfig(model=cell.marginal_model(), weight_kind="mle",
+                         zspec=ModelMatrixSpec(cell.weight_covariates()),
+                         selection=cell.selection(), phi_grid=(0.0, 0.3),
+                         resampling=Resampling("jackknife"))
+    result = sweep(ds, cfg)
+    assert per_phi(result, "n_exact") == {0.0: 48, 0.3: 64}
+    assert per_phi(result, "n_used") == {0.0: 100, 0.3: 100}
+    alone = jackknife(ds, cfg, 0.3)
+    assert alone.n_exact == 64
+    assert np.array_equal(alone.se, [r["se"] for r in result.rows if r["phi"] == 0.3])
 
 
 FULL_PASS_CONFIGS = {
