@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -200,6 +201,23 @@ def test_phi_zero_matches_explicit_unit_q():
     ones = QValues(phi=0.0, values=np.ones(int(ds.visit.sum())))
     b = balancing_weights(ds, spec, ones, cox)
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_weights_carry_the_visit_model_they_were_built_from():
+    ds = random_panel(12, n_patients=6)
+    q = q_values(ds, SelectionSpec(), 0.2)
+    cox = fit_cox(ds, ModelMatrixSpec(["z1"]), q=q)
+    spec = ModelMatrixSpec(["1", "z1"])
+    assert mle_weights(cox, ds, q).visit_model is cox
+    fitted = balancing_weights(ds, spec, q, cox)
+    assert fitted.visit_model is cox
+    # bare increments name no visit model; the weights are the same
+    bare = balancing_weights(ds, spec, q, (cox.event_times, cox.increments))
+    assert bare.visit_model is None
+    assert np.array_equal(bare.weights, fitted.weights)
+    # equality and the repr ignore the field
+    assert dataclasses.replace(bare, visit_model=cox) == bare
+    assert "visit_model" not in repr(fitted)
 
 
 def test_collinear_balance_terms_rejected():
