@@ -59,7 +59,8 @@ class QValues:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (n_visits,):
             raise ValidationError(
-                f"QValues has {v.shape[0]} entries for {n_visits} visit rows")
+                f"QValues has shape {v.shape}, not one entry for each of "
+                f"{n_visits} visit rows")
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
             raise ValidationError("Q values must be positive and finite")
         return v

@@ -9,7 +9,9 @@ patient is censored the flag stays off.
 
 The :class:`Dataset` container keeps rows grouped by patient in
 structure-of-arrays form, which is what the fitting routines consume.
-:class:`CountingProcessRow` is the row-level view used at the boundaries.
+:class:`CountingProcessRow` describes one row, for building a small
+dataset by hand (:meth:`Dataset.from_rows`); :func:`load_csv` reads the
+columns directly and builds no rows.
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ class Dataset:
 
     Arrays are shared, not copied; treat a Dataset as immutable.
     """
+
+    # the grid times of a panel whose patients each hold one at-risk row per
+    # grid interval, in time order, as a simulated panel does; set only by
+    # simlab._panel_dataset, so that RiskStructure builds it in closed form
+    _grid = None
 
     def __init__(self, patient_ids, patient_index, start, end, at_risk, visit,
                  outcome, covariates, covariate_names, tau, validate=True):

@@ -12,10 +12,11 @@ weights, is summed per event a block of pairs at a time
 (:meth:`RiskStructure.event_sums`, :meth:`RiskStructure.design_sums`) and
 never held on every pair; per-patient sums of per-pair terms are taken a
 block of pairs at a time as well (:meth:`RiskStructure.patient_sums`).  The
-``grid`` form, where
-every patient is at risk at each of fixed times, keeps its pairs implicit;
-the ``complete_grid`` form builds the explicit pairs of such a panel, stored
-patient-major as a dataset, in closed form.
+``grid`` form, where every patient is at risk at each of fixed times, keeps
+its pairs implicit.  A dataset that records the grid it was built on, as a
+simulated panel does, has every patient at risk on every grid interval, and
+its explicit pairs are built in closed form from its visit flags, without
+searching or sorting its rows.
 
 For an empty segment ``reduceat`` returns the element at its start, not
 zero, so every event must have at least one pair.  Validated data
@@ -82,6 +83,10 @@ class RiskStructure:
     pair_weight = None
 
     def __init__(self, dataset: Dataset):
+        if dataset._grid is not None:
+            self._complete_grid(dataset._grid,
+                                dataset.visit.reshape(dataset.n_patients, -1))
+            return
         self.n = dataset.n_patients
         self.event_times = dataset.event_times()
         if self.event_times.size == 0:
@@ -114,25 +119,22 @@ class RiskStructure:
         out._index_events(np.full(out.K, n))
         return out
 
-    @classmethod
-    def complete_grid(cls, times: np.ndarray, visit: np.ndarray):
+    def _complete_grid(self, times: np.ndarray, visit: np.ndarray) -> None:
         """The structure of a panel whose ``n`` patients are each at risk on
         every interval ``(times[k - 1], times[k]]``, patient ``i``'s row ``k``
         being dataset row ``i * len(times) + k``, with visit flags ``visit``
-        of shape ``(n, len(times))``.  Equals :class:`RiskStructure` of that
-        dataset, array for array, without searching or sorting its rows."""
+        of shape ``(n, len(times))``: the searched build's arrays, in closed
+        form."""
         n, width = visit.shape
         visited = visit.any(axis=0)
         kk = np.flatnonzero(visited)
         if kk.size == 0:
             raise ValidationError("dataset has no visits")
-        out = object.__new__(cls)
-        out.n, out.event_times, out.K = int(n), times[kk], int(kk.size)
-        out.cover_row = (kk[:, None] + width * np.arange(n)).ravel()
-        out.visit_rows = np.flatnonzero(visit)
-        out.visit_event = (np.cumsum(visited) - 1)[out.visit_rows % width]
-        out._index_events(np.full(out.K, n))
-        return out
+        self.n, self.event_times, self.K = int(n), times[kk], int(kk.size)
+        self.cover_row = (kk[:, None] + width * np.arange(n)).ravel()
+        self.visit_rows = np.flatnonzero(visit)
+        self.visit_event = (np.cumsum(visited) - 1)[self.visit_rows % width]
+        self._index_events(np.full(self.K, n))
 
     def _index_events(self, counts: np.ndarray) -> None:
         """Set ``event_counts`` to ``counts`` and ``event_starts`` from them."""

@@ -7,12 +7,14 @@ with fitted weights, inverse-intensity with balancing weights) over
 replicated datasets; and scores bias, SD and RMSE against the known
 marginal coefficients.
 
-Every simulated patient is at risk on every grid interval, so a
-replicate's :class:`~irrvis.riskset.RiskStructure` is built in closed form
-from its visit grid rather than by searching the dataset's rows.  A draw
-skips what nothing reads: the transformed covariates in the ``correctZ``
-cells' replicates, in :func:`complete_data_fit` and in :func:`limiting_phi`
-with the correct covariates, and S(y) wherever it returns whole arrays.
+Every simulated patient is at risk on every grid interval.  A simulated
+dataset records its grid, so the public fitting functions, which a study
+replicate runs, build its :class:`~irrvis.riskset.RiskStructure` in closed
+form from the visit flags rather than by searching the dataset's rows.  A
+draw skips what nothing reads: the transformed covariates in the
+``correctZ`` cells' replicates, in :func:`complete_data_fit` and in
+:func:`limiting_phi` with the correct covariates, and S(y) wherever it
+returns whole arrays.
 
 The complete-data estimator sees the outcome at every grid time.  Its
 marginal design (1, X, t) has only 2 * N_GRID distinct rows, so both the
@@ -65,19 +67,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cox import _fit as _fit_intensity
-# unused here since replicates fit through cox._fit; perfbench/selfcheck.py
-# requires this module to hold fit_cox, as perfbench/spans.py rebinds it
-from .cox import fit_cox  # noqa: F401
+from .cox import fit_cox
 from .data import Dataset, _format_float, _write_csv
-from .design import BoundDesign, ModelMatrixSpec
+from .design import ModelMatrixSpec
 from .errors import (IrrvisError, NumericError, ValidationError, _require_finite,
                      _require_integers)
 from .gee import GeeFit, MarginalModelSpec, fit_weighted_gee
 from .gee import _fit as _fit_marginal
 from .riskset import RiskStructure
 from .rng import substream
-from .weights import (SelectionSpec, _BalanceSystem, _balance,
-                      _inverse_intensity, q_values)
+from .weights import (SelectionSpec, balancing_weights, mle_weights,
+                      q_values)
 
 __all__ = ["ScenarioConfig", "MetricsTable", "generate", "limiting_phi",
            "run_study", "GRID_TIMES"]
@@ -296,7 +296,8 @@ _COV_NAMES = ("z1", "z2", "x", "z1s", "z2s")
 
 def _panel_dataset(x, z1, z2, y, visit, *transformed) -> Dataset:
     """The dataset of :func:`_draw_panel`'s draws: covariates z1, z2, x and,
-    where given, the transformed ``(z1s, z2s)``."""
+    where given, the transformed ``(z1s, z2s)``.  It records its grid, so
+    its :class:`RiskStructure` is built in closed form."""
     n = x.shape[0]
     rows = n * N_GRID
     pidx = np.repeat(np.arange(n, dtype=np.int32), N_GRID)
@@ -308,9 +309,11 @@ def _panel_dataset(x, z1, z2, y, visit, *transformed) -> Dataset:
         cov[:, j].reshape(n, N_GRID)[...] = values      # x is broadcast
     v = visit.ravel()
     outcome = np.where(v, y.ravel(), np.nan)
-    return Dataset(list(range(n)), pidx, start, end,
-                   np.ones(rows, dtype=bool), v, outcome, cov,
-                   _COV_NAMES[:len(columns)], tau=TAU, validate=False)
+    out = Dataset(list(range(n)), pidx, start, end, np.ones(rows, dtype=bool),
+                  v, outcome, cov, _COV_NAMES[:len(columns)], tau=TAU,
+                  validate=False)
+    out._grid = GRID_TIMES
+    return out
 
 
 def _replicate(cfg: ScenarioConfig, rep: int, transformed: bool = True):
@@ -608,23 +611,15 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
     """One replicate: returns (estimates dict, balancing residual or None).
 
     Estimates are (x, t) coefficient pairs; failed estimators map to None.
-    Each estimator gets what :func:`fit_weighted_gee` after
-    :func:`~irrvis.cox.fit_cox` and :func:`~irrvis.weights.mle_weights` or
-    :func:`~irrvis.weights.balancing_weights` on :func:`generate`'s
-    observed dataset gives, bit for bit, but the dataset's
-    :class:`RiskStructure` and its weight-covariate design are built once
-    and shared by the visit model and both kinds of weights, through the
-    fitting cores those functions call.  The structure is built in closed
-    form from the visit grid (:meth:`RiskStructure.complete_grid`), as every
-    simulated patient is at risk on every grid interval.  The balance terms
-    are summed per event a block of pairs at a time
-    (:meth:`RiskStructure.design_sums`), as :func:`balancing_weights` sums
-    them.  In the
+    The observed dataset is :func:`generate`'s, and each estimator is fit
+    by the public pipeline: :func:`q_values` and one
+    :func:`~irrvis.cox.fit_cox`, shared by :func:`mle_weights` and
+    :func:`balancing_weights`, then :func:`fit_weighted_gee`.  In the
     ``correctZ`` cells nothing reads the transformed covariates, so they
     are not drawn and the dataset carries z1, z2 and x only.
     """
     transformed = "z1s" in cfg.weight_covariates()
-    (x, _, _, y, visit, *_), observed = _replicate(cfg, rep, transformed)
+    (x, _, _, y, *_), observed = _replicate(cfg, rep, transformed)
     model = cfg.marginal_model()
     out: dict = {}
     residual = None
@@ -647,26 +642,21 @@ def _run_replicate(cfg: ScenarioConfig, rep: int, phi_w: float,
     if need_weights:
         try:
             q = q_values(observed, cfg.selection(), phi_w)
-            zspec = ModelMatrixSpec(cfg.weight_covariates())
-            bound = BoundDesign(observed, zspec)
-            rs = RiskStructure.complete_grid(GRID_TIMES, visit)
-            z_cover, z_visit = rs.design(bound, observed)
-            cox = _fit_intensity(rs, z_cover, z_visit, zspec, q.values)
+            cox = fit_cox(observed, ModelMatrixSpec(cfg.weight_covariates()), q)
         except IrrvisError:
             for e in need_weights:
                 out[e] = None
             return out, residual
         if "mle" in estimators:
             try:
-                ws = _inverse_intensity(cox, z_visit @ cox.gamma, q.values, q.phi)
+                ws = mle_weights(cox, observed, q)
                 out["mle"] = coef(fit_weighted_gee(observed, model, ws))
             except IrrvisError:
                 out["mle"] = None
         if "balancing" in estimators:
             try:
                 hspec = ModelMatrixSpec(cfg.balance_terms())
-                h = rs.design_sums(BoundDesign(observed, hspec), observed)
-                bal = _balance(_BalanceSystem(rs, *h, q.values, cox), hspec, q.phi)
+                bal = balancing_weights(observed, hspec, q, cox)
                 residual = float(bal.max_abs_residual)
                 out["balancing"] = coef(fit_weighted_gee(observed, model, bal))
             except IrrvisError:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -361,14 +361,12 @@ def balance_report(dataset: Dataset, hspec: ModelMatrixSpec, weights, breslow,
     by the term's standard deviation over at-risk rows; a term with zero
     spread (the constant, for one) is flagged and left unstandardized.
     """
-    if isinstance(weights, WeightSet):
-        w = np.asarray(weights.weights, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if q is not None:
-            w = w * q.check(w.shape[0])
-    if w.shape[0] != int(dataset.visit.sum()):
+    n_visits = int(dataset.visit.sum())
+    w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
+    if w.shape != (n_visits,):
         raise ValidationError("weights must have one entry per visit row")
+    if q is not None and not isinstance(weights, WeightSet):
+        w = w * q.check(n_visits)
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValidationError("weights must be positive and finite")
     return _BalanceReport(dataset, hspec).rows(w, breslow)
@@ -377,7 +375,7 @@ def balance_report(dataset: Dataset, hspec: ModelMatrixSpec, weights, breslow,
 def export_weights(dataset: Dataset, ws: WeightSet, path) -> None:
     """Write per-visit weights as CSV: patient_id, visit_time, weight, kind."""
     visit_rows = dataset.visit_row_indices()
-    if ws.weights.shape[0] != visit_rows.size:
+    if np.shape(ws.weights) != visit_rows.shape:
         raise ValidationError("weight set does not match the dataset")
     ids = _csv_cells(dataset.patient_ids)
     kind = _csv_cells([ws.kind])[0]

@@ -401,3 +401,12 @@ def test_splitting_a_tie_leaves_the_visit_fit_unchanged(seed, n):
     others = np.delete(parted.increments, k + 1)
     others[k] = pooled.increments[k]
     np.testing.assert_allclose(others, pooled.increments, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("values", [0.0, 1.0, np.ones((5, 1)), np.ones((1, 5)),
+                                    np.ones(4)])
+def test_q_values_of_the_wrong_shape_rejected(values):
+    # a scalar has no entries to count, and a column of 5 is not 5 entries
+    with pytest.raises(ValidationError, match=r"QValues has shape .* 5 visit rows"):
+        QValues(0.0, values).check(5)
+    assert np.array_equal(QValues(0.0, np.ones(5)).check(5), np.ones(5))

@@ -133,14 +133,14 @@ def panel_draws(outcome, seed, rep, n):
 def test_complete_grid_form_equals_the_structure_of_a_simulated_panel(
         outcome, seed, rep, n):
     # a few patients leave many of the 500 grid times without a visit
-    draws = panel_draws(outcome, seed, rep, n)
-    visit = draws[4]
-    if not visit.any():
+    marked = _panel_dataset(*panel_draws(outcome, seed, rep, n))
+    plain = marked.take_patients(np.arange(n))
+    assert marked._grid is GRID_TIMES and plain._grid is None
+    if not marked.visit.any():
         with pytest.raises(ValidationError, match="no visits"):
-            RiskStructure.complete_grid(GRID_TIMES, visit)
+            RiskStructure(marked)
         return
-    want = RiskStructure(_panel_dataset(*draws))
-    got = RiskStructure.complete_grid(GRID_TIMES, visit)
+    got, want = RiskStructure(marked), RiskStructure(plain)
     assert (got.n, got.K) == (want.n, want.K)
     assert type(got.n) is type(want.n) and type(got.K) is type(want.K)
     for name in STRUCTURE_ARRAYS:
@@ -152,12 +152,27 @@ def test_complete_grid_form_equals_the_structure_of_a_simulated_panel(
 
 def test_complete_grid_form_rejects_a_panel_without_visits():
     x, z1, z2, y, visit, *zs = panel_draws("count", 1, 0, 3)
-    none = np.zeros_like(visit)
+    marked = _panel_dataset(x, z1, z2, y, np.zeros_like(visit), *zs)
     with pytest.raises(ValidationError) as general:
-        RiskStructure(_panel_dataset(x, z1, z2, y, none, *zs))
+        RiskStructure(marked.take_patients(np.arange(3)))
     with pytest.raises(ValidationError) as closed:
-        RiskStructure.complete_grid(GRID_TIMES, none)
+        RiskStructure(marked)
     assert str(closed.value) == str(general.value) == "dataset has no visits"
+
+
+def test_only_a_panel_that_records_its_grid_takes_the_closed_form(monkeypatch):
+    shapes, closed = [], RiskStructure._complete_grid
+
+    def spy(rs, times, visit):
+        shapes.append(visit.shape)
+        closed(rs, times, visit)
+
+    monkeypatch.setattr(RiskStructure, "_complete_grid", spy)
+    marked = _panel_dataset(*panel_draws("continuous", 1, 0, 5))
+    RiskStructure(marked)
+    RiskStructure(marked.take_patients(np.arange(5)))
+    RiskStructure(two_patient_dataset())
+    assert shapes == [(5, len(GRID_TIMES))]
 
 
 def test_cover_times_expand_event_axis():

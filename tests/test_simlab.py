@@ -11,11 +11,13 @@ from irrvis import (ConvergenceError, Dataset, IrrvisError, MetricsTable,
                     ModelMatrixSpec, RankDeficiencyError, ScenarioConfig,
                     SeparationError, ValidationError, balancing_weights,
                     complete_data_fit, fit_cox, fit_weighted_gee, generate,
-                    limiting_phi, mle_weights, q_values, run_study, simlab)
+                    limiting_phi, mle_weights, q_values, run_study, simlab,
+                    weights)
 from irrvis.riskset import RiskStructure
 from irrvis.rng import substream
-from irrvis.simlab import (GRID_TIMES, TAU, TRUE_BETA, _draw_panel,
-                           _limiting_design, _run_replicate, _weight_phi)
+from irrvis.simlab import (ESTIMATORS, GRID_TIMES, TAU, TRUE_BETA,
+                           _draw_panel, _limiting_design, _run_replicate,
+                           _weight_phi)
 
 
 def cont_cfg(**kw):
@@ -574,7 +576,7 @@ def test_balancing_step_of_a_replicate_keeps_no_design_on_the_pairs(monkeypatch)
     cfg = cont_cfg(outcome="count", gamma_z=1.25, phi_true=0.3, n=400,
                    scenario="s3_SF_correctZ", seed=1)
     seen = {}
-    design_sums, balance = RiskStructure.design_sums, simlab._balance
+    design_sums, balance = RiskStructure.design_sums, weights._balance
 
     def traced_sums(rs, bound, dataset):
         seen["pairs"] = rs.cover_row.size
@@ -589,7 +591,7 @@ def test_balancing_step_of_a_replicate_keeps_no_design_on_the_pairs(monkeypatch)
         return out
 
     monkeypatch.setattr(RiskStructure, "design_sums", traced_sums)
-    monkeypatch.setattr(simlab, "_balance", traced_balance)
+    monkeypatch.setattr(weights, "_balance", traced_balance)
     tracemalloc.start()
     try:
         est, _ = _run_replicate(cfg, 0, 0.3, ("balancing",))
@@ -598,6 +600,32 @@ def test_balancing_step_of_a_replicate_keeps_no_design_on_the_pairs(monkeypatch)
     assert est["balancing"] is not None
     assert seen["pairs"] == 400 * 312 and seen["terms"] == 10
     assert seen["peak"] < 0.5 * seen["pairs"] * seen["terms"] * 8
+
+
+def test_replicate_fits_one_visit_model_for_both_kinds_of_weights(monkeypatch):
+    # the replicate runs the public pipeline, so it fits the visit model by
+    # simlab.fit_cox, once, and both kinds of weights read that one fit
+    fits, read = [], []
+
+    def counted(*args, **kwargs):
+        fits.append(fit_cox(*args, **kwargs))
+        return fits[-1]
+
+    def reads(fit, position):
+        def wrapper(*args):
+            read.append(args[position])
+            return fit(*args)
+        return wrapper
+
+    monkeypatch.setattr(simlab, "fit_cox", counted)
+    monkeypatch.setattr(simlab, "mle_weights", reads(mle_weights, 0))
+    monkeypatch.setattr(simlab, "balancing_weights", reads(balancing_weights, 3))
+    cfg = cont_cfg(gamma_z=1.25, phi_true=0.3, n=60, scenario="s3_SF_correctZ",
+                   seed=1)
+    est, residual = _run_replicate(cfg, 0, 0.3, ESTIMATORS)
+    assert len(fits) == 1 and len(read) == 2
+    assert all(cox is fits[0] for cox in read)
+    assert all(est[e] is not None for e in ESTIMATORS) and residual is not None
 
 
 def test_run_study_is_thread_invariant():

@@ -349,6 +349,16 @@ def test_report_accepts_bare_arrays_with_q():
         balance_report(ds, spec, np.array([1.0, -1.0, 1.0, 1.0]), cox)
 
 
+@pytest.mark.parametrize("weights", [2.0, np.ones((4, 1)), np.ones((1, 4))])
+@pytest.mark.parametrize("with_q", [False, True])
+def test_report_rejects_weights_of_the_wrong_shape(weights, with_q):
+    ds = toy_oversampled_dataset()
+    cox = fit_cox(ds, ModelMatrixSpec([]))
+    q = QValues(phi=0.1, values=np.full(4, 0.8)) if with_q else None
+    with pytest.raises(ValidationError, match="one entry per visit row"):
+        balance_report(ds, ModelMatrixSpec(["1", "z"]), weights, cox, q=q)
+
+
 def _unsaturated_panel(seed, gamma, phi, n_patients=60, n_steps=30):
     """Visit panel whose event probability never reaches 1.
 
@@ -427,6 +437,17 @@ def test_export_weights_layout(tmp_path):
     assert lines[0] == "patient_id,visit_time,weight,kind"
     assert len(lines) == 1 + int(ds.visit.sum())
     assert all(line.endswith(",mle") for line in lines[1:])
+
+
+@pytest.mark.parametrize("weights", [lambda w: w[0], lambda w: w[:, None]])
+def test_export_weights_rejects_weights_of_the_wrong_shape(tmp_path, weights):
+    ds = random_panel(6, n_patients=5)
+    q = q_values(ds, SelectionSpec(), 0.0)
+    ws = mle_weights(fit_cox(ds, ModelMatrixSpec(["z1"]), q=q), ds, q)
+    bad = dataclasses.replace(ws, weights=weights(ws.weights))
+    with pytest.raises(ValidationError, match="does not match the dataset"):
+        export_weights(ds, bad, tmp_path / "w.csv")
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_export_weights_matches_the_row_writer(tmp_path):
