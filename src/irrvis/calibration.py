@@ -32,7 +32,8 @@ import numpy as np
 from .cox import fit_cox
 from .data import Dataset, _format_float, _write_csv
 from .design import BoundDesign, ModelMatrixSpec
-from .errors import NumericError, ValidationError, _require_integers, _stage
+from .errors import (NumericError, ValidationError, _require_finite, _require_integers,
+                     _stage)
 from .riskset import RiskStructure
 from .weights import SelectionSpec
 
@@ -44,6 +45,7 @@ _LOGISTIC_VAR = math.pi ** 2 / 3.0
 
 def implicit_r2(var_m: float) -> float:
     """Variance explained on the latent logistic scale: v / (v + pi^2/3)."""
+    _require_finite(var_m=var_m)
     if var_m < 0.0:
         raise ValidationError("variance must be non-negative")
     return var_m / (var_m + _LOGISTIC_VAR)
@@ -60,6 +62,7 @@ def partial_r2(rho2_full: float, rho2_reduced: float) -> float:
 
 def phi_from_target(rho2_target: float, var_m: float, sigma_r: float) -> float:
     """Magnitude of phi at which S(Y) would explain ``rho2_target``."""
+    _require_finite(rho2_target=rho2_target, var_m=var_m, sigma_r=sigma_r)
     if not 0.0 <= rho2_target < 1.0:
         raise ValidationError("target r-squared must lie in [0, 1)")
     if sigma_r <= 0.0:

@@ -66,13 +66,10 @@ class Dataset:
     tau : float
         Administrative end of follow-up.
 
-    Arrays are shared, not copied; treat a Dataset as immutable.
+    Arrays are shared, not copied; treat a Dataset as immutable.  Nothing
+    but the rows decides how a Dataset is analysed, so a copy of them, such
+    as one read back from CSV, is analysed the same way.
     """
-
-    # the grid times of a panel whose patients each hold one at-risk row per
-    # grid interval, in time order, as a simulated panel does; set only by
-    # simlab._panel_dataset, so that RiskStructure builds it in closed form
-    _grid = None
 
     def __init__(self, patient_ids, patient_index, start, end, at_risk, visit,
                  outcome, covariates, covariate_names, tau, validate=True):
@@ -236,6 +233,9 @@ class Dataset:
         distinct patient with a fresh integer label.
         """
         indices = np.asarray(indices)
+        if indices.ndim != 1:
+            raise ValidationError(
+                f"patient indices must be a 1-d array, not {indices.ndim}-d")
         if indices.size == 0:
             raise ValidationError("cannot build a dataset with no patients")
         if indices.dtype.kind not in "iu":
@@ -395,14 +395,16 @@ def load_csv(path, schema: Optional[Mapping[str, str]] = None) -> Dataset:
     and blank lines are rejected.  Errors name the first bad cell by line
     and column.
     """
-    colmap = dict.fromkeys(STRUCTURAL_COLUMNS)
-    for k in STRUCTURAL_COLUMNS:
-        colmap[k] = k
+    colmap = {k: k for k in STRUCTURAL_COLUMNS}
     if schema is not None:
         for key, col in schema.items():
             if key not in STRUCTURAL_COLUMNS:
                 raise ValidationError(f"schema maps unknown field {key!r}")
             colmap[key] = col
+        for first, second in itertools.combinations(STRUCTURAL_COLUMNS, 2):
+            if colmap[first] == colmap[second]:
+                raise ValidationError(f"schema maps fields {first!r} and {second!r} "
+                                      f"to one column {colmap[first]!r}")
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:

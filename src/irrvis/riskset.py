@@ -13,10 +13,12 @@ weights, is summed per event a block of pairs at a time
 never held on every pair; per-patient sums of per-pair terms are taken a
 block of pairs at a time as well (:meth:`RiskStructure.patient_sums`).  The
 ``grid`` form, where every patient is at risk at each of fixed times, keeps
-its pairs implicit.  A dataset that records the grid it was built on, as a
-simulated panel does, has every patient at risk on every grid interval, and
-its explicit pairs are built in closed form from its visit flags, without
-searching or sorting its rows.
+its pairs implicit.  A dataset whose rows form a complete grid, every
+patient at risk on every interval between the same times, as in a simulated
+panel, has its explicit pairs built in closed form from its visit flags,
+without searching or sorting its rows.  Whether they do is read off the
+rows alone, so a copy of such a panel, read back from CSV or taken by
+``take_patients``, is built the same way.
 
 For an empty segment ``reduceat`` returns the element at its start, not
 zero, so every event must have at least one pair.  Validated data
@@ -48,6 +50,25 @@ _SUM_PAIRS = 4096
 # per-event arrays: smaller still, so that they stay below a Newton solve's
 # workspace
 _PATIENT_PAIRS = 1024
+
+
+def _shared_grid(dataset: Dataset):
+    """The row end times of ``dataset``, read as ``n_patients`` blocks of
+    rows of equal length, if the blocks form a complete grid: every row at
+    risk, and every block with the same ends, ascending, and with starts 0
+    then each previous end.  Otherwise None.  Read off the arrays that the
+    searched build reads, so that an unvalidated dataset is never taken
+    for a grid it is not."""
+    n, rows = dataset.n_patients, dataset.n_rows
+    if n == 0 or rows % n:
+        return None
+    width = rows // n
+    times = dataset.end[:width]
+    starts = np.concatenate(([0.0], times[:-1]))
+    grid = (dataset.at_risk.all() and np.all(times > starts)
+            and np.all(dataset.end.reshape(n, width) == times)
+            and np.all(dataset.start.reshape(n, width) == starts))
+    return times if grid else None
 
 
 class RiskStructure:
@@ -83,9 +104,9 @@ class RiskStructure:
     pair_weight = None
 
     def __init__(self, dataset: Dataset):
-        if dataset._grid is not None:
-            self._complete_grid(dataset._grid,
-                                dataset.visit.reshape(dataset.n_patients, -1))
+        times = _shared_grid(dataset)
+        if times is not None:
+            self._complete_grid(times, dataset.visit.reshape(dataset.n_patients, -1))
             return
         self.n = dataset.n_patients
         self.event_times = dataset.event_times()

@@ -7,14 +7,14 @@ with fitted weights, inverse-intensity with balancing weights) over
 replicated datasets; and scores bias, SD and RMSE against the known
 marginal coefficients.
 
-Every simulated patient is at risk on every grid interval.  A simulated
-dataset records its grid, so the public fitting functions, which a study
-replicate runs, build its :class:`~irrvis.riskset.RiskStructure` in closed
-form from the visit flags rather than by searching the dataset's rows.  A
-draw skips what nothing reads: the transformed covariates in the
-``correctZ`` cells' replicates, in :func:`complete_data_fit` and in
-:func:`limiting_phi` with the correct covariates, and S(y) wherever it
-returns whole arrays.
+Every simulated patient is at risk on every grid interval, so the rows of
+a simulated dataset form a complete grid, and the public fitting
+functions, which a study replicate runs, build its
+:class:`~irrvis.riskset.RiskStructure` in closed form from the visit flags
+rather than by searching the dataset's rows.  A draw skips what nothing
+reads: the transformed covariates in the ``correctZ`` cells' replicates,
+in :func:`complete_data_fit` and in :func:`limiting_phi` with the correct
+covariates, and S(y) wherever it returns whole arrays.
 
 The complete-data estimator sees the outcome at every grid time.  Its
 marginal design (1, X, t) has only 2 * N_GRID distinct rows, so both the
@@ -296,8 +296,9 @@ _COV_NAMES = ("z1", "z2", "x", "z1s", "z2s")
 
 def _panel_dataset(x, z1, z2, y, visit, *transformed) -> Dataset:
     """The dataset of :func:`_draw_panel`'s draws: covariates z1, z2, x and,
-    where given, the transformed ``(z1s, z2s)``.  It records its grid, so
-    its :class:`RiskStructure` is built in closed form."""
+    where given, the transformed ``(z1s, z2s)``.  Each patient holds one
+    at-risk row per grid interval, so its :class:`RiskStructure` is built in
+    closed form."""
     n = x.shape[0]
     rows = n * N_GRID
     pidx = np.repeat(np.arange(n, dtype=np.int32), N_GRID)
@@ -309,11 +310,9 @@ def _panel_dataset(x, z1, z2, y, visit, *transformed) -> Dataset:
         cov[:, j].reshape(n, N_GRID)[...] = values      # x is broadcast
     v = visit.ravel()
     outcome = np.where(v, y.ravel(), np.nan)
-    out = Dataset(list(range(n)), pidx, start, end, np.ones(rows, dtype=bool),
-                  v, outcome, cov, _COV_NAMES[:len(columns)], tau=TAU,
-                  validate=False)
-    out._grid = GRID_TIMES
-    return out
+    return Dataset(list(range(n)), pidx, start, end, np.ones(rows, dtype=bool),
+                   v, outcome, cov, _COV_NAMES[:len(columns)], tau=TAU,
+                   validate=False)
 
 
 def _replicate(cfg: ScenarioConfig, rep: int, transformed: bool = True):

@@ -66,6 +66,20 @@ def test_phi_from_target_pins():
         phi_from_target(0.2, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: implicit_r2(math.nan),
+    lambda: implicit_r2(math.inf),
+    lambda: phi_from_target(0.5, math.nan, 1.0),
+    lambda: phi_from_target(0.5, math.inf, 1.0),
+    lambda: phi_from_target(0.5, 1.0, math.inf),
+    lambda: phi_from_target(0.5, 1.0, math.nan),
+    lambda: phi_from_target(math.nan, 1.0, 1.0),
+])
+def test_scalar_maps_reject_non_finite_inputs(call):
+    with pytest.raises(ValidationError, match="must be finite"):
+        call()
+
+
 # -- spline basis ------------------------------------------------------------
 
 

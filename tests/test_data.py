@@ -272,6 +272,20 @@ def test_schema_rejects_unknown_field(tmp_path):
         load_csv(path, schema={"patient": "id"})
 
 
+@pytest.mark.parametrize("schema, first, second, column", [
+    ({"start": "end"}, "start", "end", "end"),
+    ({"visit": "flag", "at_risk": "flag"}, "at_risk", "visit", "flag"),
+])
+def test_schema_rejects_two_fields_on_one_column(tmp_path, schema, first, second,
+                                                 column):
+    path = tmp_path / "d.csv"
+    path.write_text(MINIMAL_CSV)
+    with pytest.raises(ValidationError) as err:
+        load_csv(path, schema=schema)
+    assert str(err.value) == (
+        f"schema maps fields {first!r} and {second!r} to one column {column!r}")
+
+
 def test_boolean_cells_must_be_01(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(MINIMAL_CSV.replace("1,0,1,1,1,3.0", "1,0,1,true,1,3.0"))
@@ -564,6 +578,13 @@ def test_take_patients_validates_indices():
         ds.take_patients([])
     with pytest.raises(ValidationError, match="no patients"):
         ds.take_patients(np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize("indices", [np.array([[0], [1]]), np.int64(1), 0])
+def test_take_patients_rejects_indices_that_are_not_1d(indices):
+    ds = two_patient_dataset()
+    with pytest.raises(ValidationError, match="1-d"):
+        ds.take_patients(indices)
 
 
 @pytest.mark.parametrize("indices", [[0.7, 1.2], [0.0, 1.0], np.array([True, False]),

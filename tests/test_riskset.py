@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_rows, pair_events, random_panel, two_patient_dataset
-from irrvis import Dataset, NumericError, ScenarioConfig, ValidationError
+from irrvis import (Dataset, NumericError, ScenarioConfig, ValidationError,
+                    export_csv, load_csv, riskset)
 from irrvis.riskset import RiskStructure
 from irrvis.rng import substream
 from irrvis.simlab import GRID_TIMES, _draw_panel, _panel_dataset
@@ -41,10 +42,26 @@ def test_pairs_match_brute_force_on_hand_dataset():
     assert_event_major(rs, pairs)
 
 
+def censor_last_row(ds, patient):
+    """``ds`` with ``patient``'s last row censored: not at risk, no visit."""
+    last = ds.patient_row_bounds[patient + 1] - 1
+    at_risk, visit, outcome = ds.at_risk.copy(), ds.visit.copy(), ds.outcome.copy()
+    at_risk[last] = visit[last] = False
+    outcome[last] = np.nan
+    return Dataset(ds.patient_ids, ds.patient_index, ds.start, ds.end, at_risk,
+                   visit, outcome, ds.covariates, ds.covariate_names, ds.tau)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_pairs_match_brute_force_on_random_panels(seed):
+@given(st.integers(0, 10_000), st.booleans())
+def test_pairs_match_brute_force_on_random_panels(seed, censored):
+    # a random panel is a complete grid; censoring a row sends it to the
+    # searched build
     ds = random_panel(seed, n_patients=5, n_periods=4, p_visit=0.4)
+    if censored:
+        ds = censor_last_row(ds, seed % ds.n_patients)
+        assume(ds.visit.any())
+    assert (riskset._shared_grid(ds) is None) == censored
     rs = RiskStructure(ds)
     times, pairs = brute_force_pairs(ds)
     assert np.array_equal(rs.event_times, times)
@@ -127,40 +144,53 @@ def panel_draws(outcome, seed, rep, n):
     return _draw_panel(cfg, substream(seed, rep), n)
 
 
-@settings(max_examples=40, deadline=None)
-@given(outcome=st.sampled_from(["continuous", "count"]),
-       seed=st.integers(0, 2 ** 16), rep=st.integers(0, 7), n=st.integers(1, 40))
-def test_complete_grid_form_equals_the_structure_of_a_simulated_panel(
-        outcome, seed, rep, n):
-    # a few patients leave many of the 500 grid times without a visit
-    marked = _panel_dataset(*panel_draws(outcome, seed, rep, n))
-    plain = marked.take_patients(np.arange(n))
-    assert marked._grid is GRID_TIMES and plain._grid is None
-    if not marked.visit.any():
-        with pytest.raises(ValidationError, match="no visits"):
-            RiskStructure(marked)
-        return
-    got, want = RiskStructure(marked), RiskStructure(plain)
+def searched(ds):
+    """``RiskStructure(ds)`` by the searched build, whatever its rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riskset, "_shared_grid", lambda dataset: None)
+        return RiskStructure(ds)
+
+
+def assert_same_structure(got, want):
+    """``got`` and ``want`` hold the same arrays, byte for byte."""
     assert (got.n, got.K) == (want.n, want.K)
     assert type(got.n) is type(want.n) and type(got.K) is type(want.K)
     for name in STRUCTURE_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(outcome=st.sampled_from(["continuous", "count"]),
+       seed=st.integers(0, 2 ** 16), rep=st.integers(0, 7), n=st.integers(1, 40))
+def test_complete_grid_form_equals_the_structure_of_a_simulated_panel(
+        outcome, seed, rep, n):
+    # a few patients leave many of the 500 grid times without a visit
+    panel = _panel_dataset(*panel_draws(outcome, seed, rep, n))
+    assert riskset._shared_grid(panel).tobytes() == GRID_TIMES.tobytes()
+    if not panel.visit.any():
+        with pytest.raises(ValidationError, match="no visits"):
+            RiskStructure(panel)
+        return
+    want = searched(panel)
+    assert_same_structure(RiskStructure(panel), want)
     assert want.K < len(GRID_TIMES)
 
 
 def test_complete_grid_form_rejects_a_panel_without_visits():
     x, z1, z2, y, visit, *zs = panel_draws("count", 1, 0, 3)
-    marked = _panel_dataset(x, z1, z2, y, np.zeros_like(visit), *zs)
+    panel = _panel_dataset(x, z1, z2, y, np.zeros_like(visit), *zs)
     with pytest.raises(ValidationError) as general:
-        RiskStructure(marked.take_patients(np.arange(3)))
+        searched(panel)
     with pytest.raises(ValidationError) as closed:
-        RiskStructure(marked)
+        RiskStructure(panel)
     assert str(closed.value) == str(general.value) == "dataset has no visits"
 
 
-def test_only_a_panel_that_records_its_grid_takes_the_closed_form(monkeypatch):
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """The visit-flag shapes of every closed-form build, in order."""
     shapes, closed = [], RiskStructure._complete_grid
 
     def spy(rs, times, visit):
@@ -168,11 +198,57 @@ def test_only_a_panel_that_records_its_grid_takes_the_closed_form(monkeypatch):
         closed(rs, times, visit)
 
     monkeypatch.setattr(RiskStructure, "_complete_grid", spy)
-    marked = _panel_dataset(*panel_draws("continuous", 1, 0, 5))
-    RiskStructure(marked)
-    RiskStructure(marked.take_patients(np.arange(5)))
-    RiskStructure(two_patient_dataset())
-    assert shapes == [(5, len(GRID_TIMES))]
+    return shapes
+
+
+def test_copies_of_a_simulated_panel_take_the_closed_form(tmp_path, closed_form_calls):
+    panel = _panel_dataset(*panel_draws("continuous", 1, 0, 5))
+    export_csv(panel, tmp_path / "panel.csv")
+    copies = (load_csv(tmp_path / "panel.csv"), panel.take_patients(np.arange(5)),
+              panel.take_patients([3, 1]))
+    want = RiskStructure(panel)
+    for copy in copies[:2]:
+        assert_same_structure(RiskStructure(copy), want)
+    RiskStructure(copies[2])
+    assert closed_form_calls == [(5, len(GRID_TIMES))] * 3 + [(2, len(GRID_TIMES))]
+
+
+def broken_grids():
+    """Datasets that each break one condition of a complete grid."""
+    def with_b(**b):
+        rows = grid_rows("a", {"z": 1.0}, {1: 2.5, 3: 1.0, 4: 0.5})
+        return Dataset.from_rows(rows + grid_rows("b", {"z": 0.5}, {2: 0.0}, **b),
+                                 tau=4.0)
+
+    yield "censored", with_b(censored_from=4)
+    yield "shifted", with_b(step=0.75)
+    yield "one row fewer", with_b(n_periods=3)
+    ds = with_b()
+    assert riskset._shared_grid(ds) is not None
+
+    def unvalidated(start, end):
+        return Dataset(ds.patient_ids, ds.patient_index, start, end, ds.at_risk,
+                       ds.visit, ds.outcome, ds.covariates, ds.covariate_names,
+                       ds.tau, validate=False)
+
+    start, end = ds.start.copy(), ds.end.copy()
+    start[4] = 0.5
+    yield "first start not 0", unvalidated(start, ds.end)
+    end[7] = 3.5
+    yield "last interval shorter", unvalidated(ds.start, end)
+    # (0, 1], (1, 2], (2, 2], (2, 4]: starts are the previous ends, but the
+    # third interval is empty
+    yield "ends not ascending", unvalidated(np.tile([0.0, 1.0, 2.0, 2.0], 2),
+                                            np.tile([1.0, 2.0, 2.0, 4.0], 2))
+
+
+@pytest.mark.parametrize("ds", [pytest.param(ds, id=case) for case, ds in broken_grids()])
+def test_a_broken_grid_takes_the_searched_build(ds, closed_form_calls):
+    rs = RiskStructure(ds)
+    assert closed_form_calls == []
+    times, pairs = brute_force_pairs(ds)
+    assert np.array_equal(rs.event_times, times)
+    assert_event_major(rs, pairs)
 
 
 def test_cover_times_expand_event_axis():
