@@ -16,6 +16,7 @@ columns directly and builds no rows.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
@@ -52,9 +53,12 @@ class Dataset:
     Attributes
     ----------
     patient_ids : list
-        One label per patient, in order of first appearance.
+        One distinct label per patient, in order of first appearance.
     patient_index : ndarray of int32
         Per-row patient position (0-based into ``patient_ids``).
+    patient_row_bounds : ndarray of int64, shape (n_patients + 1,)
+        CSR-style bounds: rows of patient ``k`` are
+        ``[patient_row_bounds[k], patient_row_bounds[k + 1])``.
     start, end : ndarray of float64
     at_risk, visit : ndarray of bool
     outcome : ndarray of float64
@@ -66,30 +70,29 @@ class Dataset:
     tau : float
         Administrative end of follow-up.
 
-    Arrays are shared, not copied; treat a Dataset as immutable.  Nothing
-    but the rows decides how a Dataset is analysed, so a copy of them, such
-    as one read back from CSV, is analysed the same way.
+    Every construction path checks the rows (:meth:`_validate`), so a
+    Dataset is a valid counting-process panel for its whole life.  The
+    arrays are read-only views of the ones given, not copies; the
+    caller's own arrays keep their flags.  Nothing but the rows decides
+    how a Dataset is analysed, so a copy of them, such as one read back
+    from CSV, is analysed the same way.
     """
 
     def __init__(self, patient_ids, patient_index, start, end, at_risk, visit,
-                 outcome, covariates, covariate_names, tau, validate=True):
+                 outcome, covariates, covariate_names, tau):
         self.patient_ids = list(patient_ids)
-        self.patient_index = np.asarray(patient_index, dtype=np.int32)
-        self.start = np.asarray(start, dtype=np.float64)
-        self.end = np.asarray(end, dtype=np.float64)
-        self.at_risk = np.asarray(at_risk, dtype=bool)
-        self.visit = np.asarray(visit, dtype=bool)
-        self.outcome = np.asarray(outcome, dtype=np.float64)
+        self.patient_index = _read_only(np.asarray(patient_index, dtype=np.int32))
+        self.start = _read_only(np.asarray(start, dtype=np.float64))
+        self.end = _read_only(np.asarray(end, dtype=np.float64))
+        self.at_risk = _read_only(np.asarray(at_risk, dtype=bool))
+        self.visit = _read_only(np.asarray(visit, dtype=bool))
+        self.outcome = _read_only(np.asarray(outcome, dtype=np.float64))
         # column-major: designs gather one covariate at a time; the
         # constructors allocate this order, so no copy is made here
-        self.covariates = np.asfortranarray(covariates, dtype=np.float64)
-        if self.covariates.ndim != 2:
-            raise ValidationError("covariates must be a 2-d array")
+        self.covariates = _read_only(np.asfortranarray(covariates, dtype=np.float64))
         self.covariate_names = tuple(covariate_names)
         self.tau = float(tau)
-        self._row_bounds = None
-        if validate:
-            self._validate()
+        self.patient_row_bounds = _read_only(self._validate())
 
     # -- construction ------------------------------------------------------
 
@@ -99,9 +102,6 @@ class Dataset:
         if not rows:
             raise ValidationError("dataset has no rows")
         names = tuple(rows[0].covariates.keys())
-        ids: list = []
-        id_pos: dict = {}
-        pidx = np.empty(len(rows), dtype=np.int32)
         start = np.empty(len(rows))
         end = np.empty(len(rows))
         at_risk = np.empty(len(rows), dtype=bool)
@@ -111,10 +111,6 @@ class Dataset:
         for i, r in enumerate(rows):
             if tuple(r.covariates.keys()) != names:
                 raise ValidationError(f"row {i}: covariate names differ from first row")
-            if r.patient_id not in id_pos:
-                id_pos[r.patient_id] = len(ids)
-                ids.append(r.patient_id)
-            pidx[i] = id_pos[r.patient_id]
             start[i] = r.start
             end[i] = r.end
             at_risk[i] = r.at_risk
@@ -122,21 +118,26 @@ class Dataset:
             if r.outcome is not None:
                 outcome[i] = r.outcome
             cov[i] = [r.covariates[k] for k in names]
-        if tau is None:
-            tau = float(end.max())
-        order = np.lexsort((start, pidx))
-        return cls(ids, pidx[order], start[order], end[order], at_risk[order],
-                   visit[order], outcome[order], _take_rows(cov, order), names, tau)
+        return _grouped([r.patient_id for r in rows], start, end, at_risk, visit,
+                        outcome, cov, names, tau)
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self) -> np.ndarray:
+        """Raise ValidationError naming the first broken panel rule and, for
+        a per-patient rule, the first patient to break it; else the row bounds."""
+        if self.covariates.ndim != 2:
+            raise ValidationError("covariates must be a 2-d array")
+        columns = {"patient_index": self.patient_index, "start": self.start,
+                   "end": self.end, "visit": self.visit, "at_risk": self.at_risk,
+                   "outcome": self.outcome}
+        for name, arr in columns.items():
+            if arr.ndim != 1:
+                raise ValidationError(f"column {name!r} must be 1-d, not {arr.ndim}-d")
         n_rows = self.patient_index.shape[0]
         if n_rows == 0:
             raise ValidationError("dataset has no rows")
-        for arr, name in ((self.start, "start"), (self.end, "end"),
-                          (self.visit, "visit"), (self.at_risk, "at_risk"),
-                          (self.outcome, "outcome")):
+        for name, arr in columns.items():
             if arr.shape[0] != n_rows:
                 raise ValidationError(f"column {name!r} has wrong length")
         if self.covariates.shape[0] != n_rows:
@@ -151,7 +152,9 @@ class Dataset:
             raise ValidationError("negative interval start")
         if np.any(self.end <= self.start):
             raise ValidationError("interval with end <= start")
-        if np.any(self.end > self.tau + 1e-12):
+        if not math.isfinite(self.tau):
+            raise ValidationError("non-finite tau")
+        if self.end.max() > self.tau + 1e-12:
             raise ValidationError("interval extends past tau")
         if np.any(self.visit & ~self.at_risk):
             raise ValidationError("visit recorded on a row that is not at risk")
@@ -162,41 +165,40 @@ class Dataset:
         if np.any(~self.visit & has_outcome):
             i = int(np.flatnonzero(~self.visit & has_outcome)[0])
             raise ValidationError(f"outcome present on non-visit row {i}")
-        # per-patient structure: contiguous partition starting at 0,
-        # at-risk before censored rows
-        bounds = self.patient_row_bounds
-        if int(self.patient_index.max()) + 1 != len(self.patient_ids):
+        pidx, ids = self.patient_index, self.patient_ids
+        if np.any(pidx[1:] < pidx[:-1]):
+            raise ValidationError("rows are not grouped by patient")
+        if pidx[0] < 0 or pidx[-1] + 1 != len(ids):
             raise ValidationError("patient_index does not match patient_ids")
-        for k in range(len(self.patient_ids)):
-            lo, hi = bounds[k], bounds[k + 1]
-            if hi <= lo:
-                raise ValidationError(f"patient {self.patient_ids[k]!r} has no rows")
-            s, e = self.start[lo:hi], self.end[lo:hi]
-            if s[0] != 0.0:
-                raise ValidationError(
-                    f"patient {self.patient_ids[k]!r}: first interval must start at 0")
-            if hi - lo > 1 and not np.array_equal(s[1:], e[:-1]):
-                raise ValidationError(
-                    f"patient {self.patient_ids[k]!r}: intervals overlap or leave gaps")
-            a = self.at_risk[lo:hi]
-            if np.any(a[1:] & ~a[:-1]):
-                raise ValidationError(
-                    f"patient {self.patient_ids[k]!r}: at_risk turns back on after censoring")
-
-    @property
-    def patient_row_bounds(self) -> np.ndarray:
-        """CSR-style bounds: rows of patient ``k`` are ``[bounds[k], bounds[k+1])``.
-
-        Requires rows grouped by patient in ``patient_ids`` order, which the
-        constructors guarantee.
-        """
-        if self._row_bounds is None:
-            pidx = self.patient_index
-            if np.any(np.diff(pidx) < 0):
-                raise ValidationError("rows are not grouped by patient")
-            counts = np.bincount(pidx, minlength=len(self.patient_ids))
-            self._row_bounds = np.concatenate(([0], np.cumsum(counts)))
-        return self._row_bounds
+        try:
+            uses = collections.Counter(ids)
+        except TypeError:
+            raise ValidationError("patient ids must be hashable") from None
+        if len(uses) != len(ids):
+            repeat = next(pid for pid, n in uses.items() if n > 1)
+            raise ValidationError(f"patient id {repeat!r} names two patients")
+        bounds = np.searchsorted(pidx, np.arange(len(ids) + 1, dtype=pidx.dtype))
+        # per patient: rows partition (0, end] in order, at risk before
+        # censored.  A fault is keyed 4 * patient + rule, so the smallest
+        # key is the first failing patient's first broken rule.
+        previous_end = np.empty(n_rows)
+        previous_end[1:] = self.end[:-1]
+        previous_end[bounds[:-1]] = 0.0
+        cut = np.flatnonzero(self.start != previous_end)
+        resumed = np.flatnonzero(self.at_risk[1:] > self.at_risk[:-1]) + 1
+        resumed = resumed[pidx[resumed] == pidx[resumed - 1]]
+        keys = np.concatenate((
+            4 * np.flatnonzero(bounds[1:] == bounds[:-1]),
+            4 * pidx[cut].astype(np.int64) + np.where(cut == bounds[pidx[cut]], 1, 2),
+            4 * pidx[resumed].astype(np.int64) + 3))
+        if keys.size:
+            k, rule = divmod(int(keys.min()), 4)
+            who = f"patient {ids[k]!r}"
+            raise ValidationError((f"{who} has no rows",
+                                   f"{who}: first interval must start at 0",
+                                   f"{who}: intervals overlap or leave gaps",
+                                   f"{who}: at_risk turns back on after censoring")[rule])
+        return bounds
 
     # -- views -------------------------------------------------------------
 
@@ -249,7 +251,27 @@ class Dataset:
         return Dataset(list(range(len(indices))), pidx, self.start[rows],
                        self.end[rows], self.at_risk[rows], self.visit[rows],
                        self.outcome[rows], _take_rows(self.covariates, rows),
-                       self.covariate_names, self.tau, validate=False)
+                       self.covariate_names, self.tau)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _grouped(pids, start, end, at_risk, visit, outcome, cov, names, tau) -> Dataset:
+    """The dataset of rows in any order, row ``i`` of patient ``pids[i]``:
+    patients in order of first appearance, each one's rows by start.
+    ``tau`` defaults to the last end."""
+    ids = list(dict.fromkeys(pids))
+    id_pos = {pid: k for k, pid in enumerate(ids)}
+    pidx = np.fromiter(map(id_pos.__getitem__, pids), np.int32, count=len(pids))
+    order = np.lexsort((start, pidx))
+    return Dataset(ids, pidx[order], start[order], end[order], at_risk[order],
+                   visit[order], outcome[order], _take_rows(cov, order), names,
+                   float(np.max(end)) if tau is None else tau)
 
 
 def _blocks(bounds: np.ndarray, patients: np.ndarray) -> np.ndarray:
@@ -443,13 +465,7 @@ def load_csv(path, schema: Optional[Mapping[str, str]] = None) -> Dataset:
             raise ValidationError(f"unreadable CSV body: {failure}")
     # past here, every empty line sat inside a quoted cell
 
-    ids = list(dict.fromkeys(pids))
-    id_pos = {pid: k for k, pid in enumerate(ids)}
-    pidx = np.fromiter(map(id_pos.__getitem__, pids), np.int32, count=len(pids))
-    order = np.lexsort((start, pidx))
-    return Dataset(ids, pidx[order], start[order], end[order],
-                   at_risk[order], visit[order], outcome[order],
-                   _take_rows(cov, order), names, tau=float(np.max(end)))
+    return _grouped(pids, start, end, at_risk, visit, outcome, cov, names, None)
 
 
 def _format_float(x: float) -> str:

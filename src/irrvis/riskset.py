@@ -21,8 +21,8 @@ rows alone, so a copy of such a panel, read back from CSV or taken by
 ``take_patients``, is built the same way.
 
 For an empty segment ``reduceat`` returns the element at its start, not
-zero, so every event must have at least one pair.  Validated data
-guarantee it: a visit row is at risk and has ``end > start``, so it covers
+zero, so every event must have at least one pair.  Every dataset
+guarantees it: a visit row is at risk and has ``end > start``, so it covers
 its own event time.  A structure that would break this raises
 :class:`NumericError`.
 
@@ -53,22 +53,16 @@ _PATIENT_PAIRS = 1024
 
 
 def _shared_grid(dataset: Dataset):
-    """The row end times of ``dataset``, read as ``n_patients`` blocks of
-    rows of equal length, if the blocks form a complete grid: every row at
-    risk, and every block with the same ends, ascending, and with starts 0
-    then each previous end.  Otherwise None.  Read off the arrays that the
-    searched build reads, so that an unvalidated dataset is never taken
-    for a grid it is not."""
-    n, rows = dataset.n_patients, dataset.n_rows
-    if n == 0 or rows % n:
+    """The row end times of every patient of ``dataset``, if its rows form a
+    complete grid: every row at risk, and every patient with as many rows
+    and the same ends.  Otherwise None.  A dataset's rows run from 0, each
+    from the previous end, so equal ends are equal intervals."""
+    counts = np.diff(dataset.patient_row_bounds)
+    width = int(counts[0])
+    if not (np.all(counts == width) and dataset.at_risk.all()):
         return None
-    width = rows // n
     times = dataset.end[:width]
-    starts = np.concatenate(([0.0], times[:-1]))
-    grid = (dataset.at_risk.all() and np.all(times > starts)
-            and np.all(dataset.end.reshape(n, width) == times)
-            and np.all(dataset.start.reshape(n, width) == starts))
-    return times if grid else None
+    return times if np.all(dataset.end.reshape(-1, width) == times) else None
 
 
 class RiskStructure:

@@ -311,8 +311,7 @@ def _panel_dataset(x, z1, z2, y, visit, *transformed) -> Dataset:
     v = visit.ravel()
     outcome = np.where(v, y.ravel(), np.nan)
     return Dataset(list(range(n)), pidx, start, end, np.ones(rows, dtype=bool),
-                   v, outcome, cov, _COV_NAMES[:len(columns)], tau=TAU,
-                   validate=False)
+                   v, outcome, cov, _COV_NAMES[:len(columns)], tau=TAU)
 
 
 def _replicate(cfg: ScenarioConfig, rep: int, transformed: bool = True):

@@ -278,6 +278,62 @@ def draw_panel(cfg, rng, n):
     return x, z1, z2, y, s_y, visit, z1 - z2, z2 + e
 
 
+# -- data model ------------------------------------------------------------
+
+
+def check_panel(patient_ids, patient_index, start, end, at_risk, visit, outcome,
+                covariates, covariate_names, tau):
+    """The panel rules of ``Dataset``, rule by rule over the rows and then
+    patient by patient: raises the ValidationError of the first broken rule,
+    for the first patient that breaks one.  Takes 1-d columns, a 2-d
+    covariate block and distinct ids."""
+    n_rows = len(patient_index)
+    if n_rows == 0:
+        raise ValidationError("dataset has no rows")
+    for arr, name in ((start, "start"), (end, "end"), (visit, "visit"),
+                      (at_risk, "at_risk"), (outcome, "outcome")):
+        if len(arr) != n_rows:
+            raise ValidationError(f"column {name!r} has wrong length")
+    if len(covariates) != n_rows:
+        raise ValidationError("covariate matrix has wrong number of rows")
+    if covariates.shape[1] != len(covariate_names):
+        raise ValidationError("covariate matrix width does not match names")
+    rows = range(n_rows)
+    if not all(math.isfinite(start[i]) and math.isfinite(end[i]) for i in rows):
+        raise ValidationError("non-finite interval endpoint")
+    if not all(math.isfinite(v) for row in covariates for v in row):
+        raise ValidationError("non-finite covariate value")
+    if any(start[i] < 0 for i in rows):
+        raise ValidationError("negative interval start")
+    if any(end[i] <= start[i] for i in rows):
+        raise ValidationError("interval with end <= start")
+    if any(end[i] > tau + 1e-12 for i in rows):
+        raise ValidationError("interval extends past tau")
+    if any(visit[i] and not at_risk[i] for i in rows):
+        raise ValidationError("visit recorded on a row that is not at risk")
+    for i in rows:
+        if visit[i] and not math.isfinite(outcome[i]):
+            raise ValidationError(f"missing outcome on visit row {i}")
+    for i in rows:
+        if not visit[i] and math.isfinite(outcome[i]):
+            raise ValidationError(f"outcome present on non-visit row {i}")
+    if any(patient_index[i] < patient_index[i - 1] for i in rows[1:]):
+        raise ValidationError("rows are not grouped by patient")
+    if patient_index[0] < 0 or patient_index[-1] + 1 != len(patient_ids):
+        raise ValidationError("patient_index does not match patient_ids")
+    for k, pid in enumerate(patient_ids):
+        mine = [i for i in rows if patient_index[i] == k]
+        if not mine:
+            raise ValidationError(f"patient {pid!r} has no rows")
+        if start[mine[0]] != 0.0:
+            raise ValidationError(f"patient {pid!r}: first interval must start at 0")
+        if any(start[i] != end[i - 1] for i in mine[1:]):
+            raise ValidationError(f"patient {pid!r}: intervals overlap or leave gaps")
+        if any(at_risk[i] and not at_risk[i - 1] for i in mine[1:]):
+            raise ValidationError(
+                f"patient {pid!r}: at_risk turns back on after censoring")
+
+
 # -- CSV boundary ----------------------------------------------------------
 
 STRUCTURAL_COLUMNS = ("patient_id", "start", "end", "at_risk", "visit", "outcome")

@@ -233,7 +233,7 @@ def no_signal_panel(n, seed):
                    np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
                    np.tile(GRID_TIMES, n), np.ones(rows, dtype=bool),
                    visit.ravel(), np.where(visit.ravel(), y.ravel(), np.nan),
-                   cov, ("z1", "z2"), tau=TAU, validate=False)
+                   cov, ("z1", "z2"), tau=TAU)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -12,7 +12,7 @@ from helpers import (dataset_rows, grid_rows, random_panel, two_patient_dataset,
                      two_patient_rows)
 from irrvis import (CountingProcessRow, Dataset, ScenarioConfig, ValidationError,
                     export_csv, generate, load_csv)
-from oracles import export_csv_rows, load_csv_rows
+from oracles import check_panel, export_csv_rows, load_csv_rows
 
 MINIMAL_CSV = (
     "patient_id,start,end,at_risk,visit,outcome,z\n"
@@ -138,6 +138,118 @@ def test_at_risk_cannot_resume():
         ])
 
 
+def constructor_args(ds) -> dict:
+    return {"patient_ids": ds.patient_ids, "patient_index": ds.patient_index,
+            "start": ds.start, "end": ds.end, "at_risk": ds.at_risk,
+            "visit": ds.visit, "outcome": ds.outcome, "covariates": ds.covariates,
+            "covariate_names": ds.covariate_names, "tau": ds.tau}
+
+
+def test_duplicate_patient_ids_rejected():
+    # two patients of one label would merge into one on a CSV round trip
+    args = constructor_args(two_patient_dataset())
+    with pytest.raises(ValidationError, match="^patient id 'a' names two patients$"):
+        Dataset(**{**args, "patient_ids": ["a", "a"]})
+    with pytest.raises(ValidationError, match="hashable"):
+        Dataset(**{**args, "patient_ids": [["a"], ["b"]]})
+
+
+def test_negative_patient_index_rejected():
+    args = constructor_args(two_patient_dataset())
+    pidx = np.array(args["patient_index"]) - 1
+    with pytest.raises(ValidationError, match="patient_index does not match"):
+        Dataset(**{**args, "patient_index": pidx, "patient_ids": ["a"]})
+
+
+@pytest.mark.parametrize("column", ["patient_index", "start", "end", "at_risk",
+                                    "visit", "outcome"])
+def test_row_columns_must_be_1d(column):
+    args = constructor_args(two_patient_dataset())
+    with pytest.raises(ValidationError, match=f"column '{column}' must be 1-d, not 2-d"):
+        Dataset(**{**args, column: np.asarray(args[column])[:, None]})
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_non_finite_tau_rejected(tau):
+    with pytest.raises(ValidationError, match="non-finite tau"):
+        Dataset.from_rows([row()], tau=tau)
+
+
+def test_arrays_are_read_only_and_the_callers_stay_writable():
+    ds = two_patient_dataset()
+    args = {key: np.array(value) if isinstance(value, np.ndarray) else value
+            for key, value in constructor_args(ds).items()}
+    args["covariates"] = np.asfortranarray(args["covariates"])
+    built = Dataset(**args)
+    for name in ("patient_index", "patient_row_bounds", "start", "end", "at_risk",
+                 "visit", "outcome", "covariates"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(built, name)[0] = 0
+        if name in args:
+            assert np.shares_memory(getattr(built, name), args[name])
+            assert args[name].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        built.covariate_column("z")[:] = 0.0
+    args["end"][0] = 0.5        # the caller's array, still theirs to write
+    assert built.end[0] == 0.5
+
+
+@st.composite
+def raw_panels(draw):
+    """Constructor arguments of a small panel built to be valid, then broken
+    by faults drawn per row and per patient: any rule, alone or with others,
+    in any patient."""
+    counts = draw(st.lists(st.sampled_from([0, 1, 2, 3, 3, 4, 4]), max_size=4))
+    n_rows = sum(counts)
+    pidx = np.repeat(np.arange(len(counts)), counts)
+
+    def flags(p_true=1 / 30):
+        values = st.sampled_from([False] * round(1 / p_true - 1) + [True])
+        return np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)),
+                        dtype=bool)
+
+    def values(choices):
+        return np.array(draw(st.lists(st.sampled_from(choices), min_size=n_rows,
+                                      max_size=n_rows)), dtype=np.float64)
+
+    length = values([1.0] * 40 + [2.0] * 20 + [0.0, -1.0])
+    shift = values([0.0] * 60 + [0.5, -0.5])
+    censor = flags(1 / 8)
+    start, end = np.empty(n_rows), np.empty(n_rows)
+    at_risk = np.empty(n_rows, dtype=bool)
+    for i in range(n_rows):
+        first = i == 0 or pidx[i] != pidx[i - 1]
+        start[i] = (0.0 if first else end[i - 1]) + shift[i]
+        end[i] = start[i] + length[i]
+        at_risk[i] = (first or at_risk[i - 1]) and not censor[i]
+    at_risk ^= flags()
+    visit = flags(0.5) & (at_risk | flags())
+    outcome = np.where(visit ^ flags(), 1.5, np.nan)
+    if n_rows and draw(st.sampled_from([False] * 20 + [True])):
+        swap = draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=2))
+        pidx[swap] = pidx[swap[::-1]]
+    n_ids = len(counts) + draw(st.sampled_from([0] * 30 + [1, -1]))
+    tau = float(end.max(initial=0.0)) - draw(st.sampled_from([0.0] * 30 + [0.5]))
+    return dict(patient_ids=[f"p{k}" for k in range(max(n_ids, 0))],
+                patient_index=pidx, start=start, end=end, at_risk=at_risk,
+                visit=visit, outcome=outcome, covariates=np.ones((n_rows, 1)),
+                covariate_names=("z",), tau=tau)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_panels())
+def test_checks_match_the_row_by_row_reference(args):
+    try:
+        check_panel(**args)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            Dataset(**args)
+    else:
+        counts = np.bincount(args["patient_index"], minlength=len(args["patient_ids"]))
+        assert np.array_equal(Dataset(**args).patient_row_bounds,
+                              np.concatenate(([0], np.cumsum(counts))))
+
+
 def test_covariate_column_lookup():
     ds = two_patient_dataset()
     assert np.array_equal(np.unique(ds.covariate_column("z")), [-0.5, 1.0])
@@ -202,8 +314,9 @@ def test_readers_hand_the_constructor_a_column_major_block(tmp_path, monkeypatch
     assert len(blocks) == 4
     for passed, stored in blocks:
         assert passed.flags.f_contiguous and not passed.flags.c_contiguous
-        # the constructor kept the block it was given: no copy
-        assert stored is passed
+        # the constructor kept the block it was given, behind a read-only
+        # view: no copy
+        assert np.shares_memory(stored, passed) and stored.shape == passed.shape
 
 
 # -- csv ---------------------------------------------------------------------

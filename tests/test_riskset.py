@@ -226,20 +226,11 @@ def broken_grids():
     ds = with_b()
     assert riskset._shared_grid(ds) is not None
 
-    def unvalidated(start, end):
-        return Dataset(ds.patient_ids, ds.patient_index, start, end, ds.at_risk,
-                       ds.visit, ds.outcome, ds.covariates, ds.covariate_names,
-                       ds.tau, validate=False)
-
-    start, end = ds.start.copy(), ds.end.copy()
-    start[4] = 0.5
-    yield "first start not 0", unvalidated(start, ds.end)
+    end = ds.end.copy()
     end[7] = 3.5
-    yield "last interval shorter", unvalidated(ds.start, end)
-    # (0, 1], (1, 2], (2, 2], (2, 4]: starts are the previous ends, but the
-    # third interval is empty
-    yield "ends not ascending", unvalidated(np.tile([0.0, 1.0, 2.0, 2.0], 2),
-                                            np.tile([1.0, 2.0, 2.0, 4.0], 2))
+    yield "last interval shorter", Dataset(
+        ds.patient_ids, ds.patient_index, ds.start, end, ds.at_risk, ds.visit,
+        ds.outcome, ds.covariates, ds.covariate_names, ds.tau)
 
 
 @pytest.mark.parametrize("ds", [pytest.param(ds, id=case) for case, ds in broken_grids()])
@@ -249,6 +240,25 @@ def test_a_broken_grid_takes_the_searched_build(ds, closed_form_calls):
     times, pairs = brute_force_pairs(ds)
     assert np.array_equal(rs.event_times, times)
     assert_event_major(rs, pairs)
+
+
+@pytest.mark.parametrize("start, end, message", [
+    pytest.param([0, 1, 2, 3, 0.5, 1, 2, 3], [1, 2, 3, 4] * 2,
+                 "'b': first interval must start at 0", id="first start not 0"),
+    # (0, 1], (1, 2], (2, 2], (2, 4]: starts are the previous ends, but the
+    # third interval is empty
+    pytest.param([0, 1, 2, 2] * 2, [1, 2, 2, 4] * 2, "end <= start",
+                 id="ends not ascending"),
+    # (0, 1], (1, 3], (3, 2], (2, 4]: a reversed interval
+    pytest.param([0, 1, 3, 2] * 2, [1, 3, 2, 4] * 2, "end <= start",
+                 id="reversed interval"),
+])
+def test_a_broken_grid_is_rejected_at_construction(start, end, message):
+    ds = Dataset.from_rows(grid_rows("a", {"z": 1.0}, {1: 2.5, 3: 1.0, 4: 0.5})
+                           + grid_rows("b", {"z": 0.5}, {2: 0.0}), tau=4.0)
+    with pytest.raises(ValidationError, match=message):
+        Dataset(ds.patient_ids, ds.patient_index, start, end, ds.at_risk,
+                ds.visit, ds.outcome, ds.covariates, ds.covariate_names, ds.tau)
 
 
 def test_cover_times_expand_event_axis():

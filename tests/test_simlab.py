@@ -234,7 +234,7 @@ def grid_dataset(design, visit, n):
                    np.tile(np.concatenate(([0.0], GRID_TIMES[:-1])), n),
                    np.tile(GRID_TIMES, n), np.ones(flags.size, dtype=bool), flags,
                    np.where(flags, 0.0, np.nan), cov.astype(np.float64),
-                   ("a", "b", "ab", "x", "sy"), tau=TAU, validate=False)
+                   ("a", "b", "ab", "x", "sy"), tau=TAU)
 
 
 def test_limiting_fit_matches_general_engine():

@@ -378,10 +378,11 @@ def _unsaturated_panel(seed, gamma, phi, n_patients=60, n_steps=30):
     cov = np.column_stack([z1.ravel(), np.repeat(x[:, 0], n_steps)])
     return Dataset([f"p{i}" for i in range(n_patients)],
                    np.repeat(np.arange(n_patients, dtype=np.int32), n_steps),
-                   np.tile(t - step, n_patients), np.tile(t, n_patients),
+                   np.tile(np.concatenate(([0.0], t[:-1])), n_patients),
+                   np.tile(t, n_patients),
                    np.ones(n_rows, dtype=bool), visit.ravel(),
                    np.where(visit, y, np.nan).ravel(), cov, ("z1", "x"),
-                   tau=t[-1], validate=False)
+                   tau=t[-1])
 
 
 def test_true_weight_residuals_center_on_zero_without_saturation():
